@@ -4,13 +4,21 @@ Conventions used throughout the package:
 
 * lattice vectors are the rows of ``Cell.lattice``; reciprocal vectors are
   the rows of ``Cell.reciprocal`` and satisfy a_i . b_j = 2 pi delta_ij,
-* a basis function is e_G(r) = |Omega|^(-1/2) exp(i G.r), so coefficient
-  vectors are orthonormal and Parseval holds without extra volume factors,
 * real-space samples live on the uniform FFT grid r_j = sum_k (j_k/N_k) a_k
-  and integrals are FFT-grid trapezoid sums, exact for represented modes.
+  and integrals are FFT-grid trapezoid sums, exact for represented modes,
+* orbitals use orthonormal coefficients of e_G(r) = |Omega|^(-1/2)
+  exp(i G.r), so Parseval holds without volume factors (``to_grid``,
+  ``from_grid``, ``grid_spectrum``); potentials and densities use plain
+  Fourier series v(r) = sum_G vhat(G) exp(i G.r) (``fourier_coefficients``,
+  ``fourier_values``).
+
+Every transform in the package goes through ``PlaneWaveBasis``, on the
+trailing axes of its input, so a block of orbitals is one call.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -119,34 +127,36 @@ class PlaneWaveBasis:
         # energy variational across nested cutoffs.
         self.fft_shape = tuple(int(next_fast_len(int(4 * m + 1))) for m in maxcoord)
         self.n_grid = int(np.prod(self.fft_shape))
-        # scatter/gather index per dimension, wrapped onto the grid
-        self._grid_index = tuple(
-            np.mod(self.g_int[:, k], self.fft_shape[k]) for k in range(d)
-        )
+        self._grid_axes = tuple(range(-d, 0))
+        self._grid_index = self.grid_index(self.g_int)
         self.quadrature_weight = cell.volume / self.n_grid
-        self._grid_g2 = None
-        self._grid_modes = None
 
     # -- full-grid mode bookkeeping -------------------------------------
 
-    @property
+    @cached_property
     def grid_modes(self):
         """Signed integer coordinates of every FFT-grid mode, shape (*fft_shape, d)."""
-        if self._grid_modes is None:
-            axes = [
-                np.rint(np.fft.fftfreq(n) * n).astype(int) for n in self.fft_shape
-            ]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            self._grid_modes = np.stack(mesh, axis=-1)
-        return self._grid_modes
+        axes = [np.rint(np.fft.fftfreq(n) * n).astype(int) for n in self.fft_shape]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack(mesh, axis=-1)
 
-    @property
+    @cached_property
     def grid_g2(self):
         """|G|^2 for every FFT-grid mode, shape fft_shape."""
-        if self._grid_g2 is None:
-            cart = self.grid_modes @ self.cell.reciprocal
-            self._grid_g2 = np.einsum("...i,...i->...", cart, cart)
-        return self._grid_g2
+        cart = self.grid_modes @ self.cell.reciprocal
+        return np.einsum("...i,...i->...", cart, cart)
+
+    @cached_property
+    def coulomb_multiplier(self):
+        """4 pi / |G|^2 for every FFT-grid mode, 0 at G = 0, shape fft_shape."""
+        g2 = self.grid_g2
+        mult = np.zeros_like(g2)
+        np.divide(4.0 * np.pi, g2, out=mult, where=g2 > 1e-14)
+        return mult
+
+    def grid_index(self, modes):
+        """Grid position of integer modes (..., d), wrapped onto the FFT grid."""
+        return tuple(np.mod(modes[..., k], n) for k, n in enumerate(self.fft_shape))
 
     def grid_points(self):
         """Cartesian coordinates of the FFT grid, shape (*fft_shape, d)."""
@@ -157,41 +167,53 @@ class PlaneWaveBasis:
 
     # -- transforms ------------------------------------------------------
 
-    def to_grid(self, coefficients) -> "GridFunction":
+    def to_grid(self, coefficients):
         """Synthesize ``sum_G c_G e_G`` on the FFT grid.
 
-        Returns a GridFunction; the transform is unitary with respect to the
-        coefficient l2 norm and the grid quadrature.
+        One coefficient vector gives a GridFunction; a block of shape
+        (k, size) gives the sample array (k, *fft_shape).  The transform is
+        unitary with respect to the coefficient l2 norm and the grid
+        quadrature.
         """
         coefficients = np.asarray(coefficients)
-        if coefficients.shape != (self.size,):
+        if coefficients.shape[-1:] != (self.size,):
             raise ValueError(
                 f"expected {self.size} coefficients, got shape {coefficients.shape}"
             )
-        spec = np.zeros(self.fft_shape, dtype=complex)
-        spec[self._grid_index] = coefficients
-        values = np.fft.ifftn(spec) * (self.n_grid / np.sqrt(self.cell.volume))
-        return GridFunction(self, values)
+        batch = coefficients.shape[:-1]
+        spec = np.zeros(batch + self.fft_shape, dtype=complex)
+        spec[(Ellipsis,) + self._grid_index] = coefficients
+        values = np.fft.ifftn(spec, axes=self._grid_axes)
+        values *= self.n_grid / np.sqrt(self.cell.volume)
+        return values if batch else GridFunction(self, values)
 
     def from_grid(self, values) -> np.ndarray:
         """Extract basis coefficients from grid samples (inverse of to_grid
-        on the represented subspace)."""
+        on the represented subspace); leading axes are kept."""
         if isinstance(values, GridFunction):
             if values.basis is not self and values.basis != self:
                 raise ValueError("grid function belongs to a different basis")
             values = values.values
         values = np.asarray(values)
-        if values.shape != self.fft_shape:
+        if values.shape[-len(self.fft_shape):] != self.fft_shape:
             raise ValueError(
                 f"expected grid shape {self.fft_shape}, got {values.shape}"
             )
-        spec = np.fft.fftn(values) * (np.sqrt(self.cell.volume) / self.n_grid)
-        return spec[self._grid_index]
+        return self.grid_spectrum(values)[(Ellipsis,) + self._grid_index]
 
     def grid_spectrum(self, values) -> np.ndarray:
         """Orthonormal-convention coefficients of every FFT-grid mode."""
         values = np.asarray(values)
-        return np.fft.fftn(values) * (np.sqrt(self.cell.volume) / self.n_grid)
+        spec = np.fft.fftn(values, axes=self._grid_axes)
+        return spec * (np.sqrt(self.cell.volume) / self.n_grid)
+
+    def fourier_coefficients(self, values) -> np.ndarray:
+        """Plain Fourier-series coefficients vhat(G) of grid samples."""
+        return np.fft.fftn(values, axes=self._grid_axes) / self.n_grid
+
+    def fourier_values(self, coefficients) -> np.ndarray:
+        """Grid samples of sum_G vhat(G) exp(i G.r) (complex)."""
+        return np.fft.ifftn(coefficients, axes=self._grid_axes) * self.n_grid
 
     def kinetic(self) -> np.ndarray:
         """Diagonal of -Laplacian/2 in the basis, i.e. |G|^2 / 2."""
@@ -281,6 +303,15 @@ def h1_norm(u: GridFunction) -> float:
     return float(np.sqrt(total))
 
 
+def _resample(u: GridFunction, target: PlaneWaveBasis, modes) -> GridFunction:
+    """Carry the plain Fourier coefficients of ``u`` at the integer
+    ``modes`` onto the target grid; every other target mode is zero."""
+    spec = u.basis.fourier_coefficients(u.values)
+    out = np.zeros(target.fft_shape, dtype=complex)
+    out[target.grid_index(modes)] = spec[u.basis.grid_index(modes)]
+    return GridFunction(target, target.fourier_values(out))
+
+
 def transfer(u: GridFunction, target: PlaneWaveBasis) -> GridFunction:
     """Re-express ``u`` on a finer basis' grid, preserving every mode.
 
@@ -295,13 +326,7 @@ def transfer(u: GridFunction, target: PlaneWaveBasis) -> GridFunction:
         raise ValueError("target grid cannot represent all source modes")
     if target.fft_shape == src.fft_shape:
         return GridFunction(target, u.values.copy())
-    spec = np.fft.fftn(u.values) / src.n_grid
-    out = np.zeros(target.fft_shape, dtype=complex)
-    modes = src.grid_modes.reshape(-1, src.cell.dimension)
-    src_idx = tuple(np.mod(modes[:, k], src.fft_shape[k]) for k in range(src.cell.dimension))
-    tgt_idx = tuple(np.mod(modes[:, k], target.fft_shape[k]) for k in range(src.cell.dimension))
-    out[tgt_idx] = spec[src_idx]
-    return GridFunction(target, np.fft.ifftn(out) * target.n_grid)
+    return _resample(u, target, src.grid_modes.reshape(-1, src.cell.dimension))
 
 
 def project(u: GridFunction, target: PlaneWaveBasis) -> GridFunction:
@@ -318,9 +343,4 @@ def project(u: GridFunction, target: PlaneWaveBasis) -> GridFunction:
         raise ValueError(
             f"target cutoff {target.cutoff} exceeds source cutoff {src.cutoff}"
         )
-    spec = np.fft.fftn(u.values) / src.n_grid
-    d = src.cell.dimension
-    src_idx = tuple(np.mod(target.g_int[:, k], src.fft_shape[k]) for k in range(d))
-    out = np.zeros(target.fft_shape, dtype=complex)
-    out[target._grid_index] = spec[src_idx]
-    return GridFunction(target, np.fft.ifftn(out) * target.n_grid)
+    return _resample(u, target, target.g_int)

@@ -1,7 +1,7 @@
 """Command-line interface: mks {scf, sweep, response, audit-xc, quasi-opt}.
 
 Exit codes: 0 on success, 1 on physics or convergence failures (including
-audit violations), 2 on configuration errors.
+audit violations) and on running out of memory, 2 on configuration errors.
 """
 
 from __future__ import annotations
@@ -216,8 +216,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ScfError, EigensolverError, RuntimeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ScfError, EigensolverError, RuntimeError, ValueError,
+            MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

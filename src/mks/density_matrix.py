@@ -83,10 +83,7 @@ class DensityMatrix:
 
     def orbitals_on_grid(self) -> np.ndarray:
         """Orbitals sampled on the FFT grid, shape (m, *fft_shape)."""
-        out = np.empty((self.n_states,) + self.basis.fft_shape, dtype=complex)
-        for i in range(self.n_states):
-            out[i] = self.basis.to_grid(self.orbitals[:, i]).values
-        return out
+        return self.basis.to_grid(self.orbitals.T)
 
     def __repr__(self):
         return (

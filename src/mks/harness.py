@@ -85,8 +85,26 @@ def run_single(config: RunConfig, cutoff=None, beta=None,
     )
 
 
+def _sweep_inputs(config, cutoffs, reference):
+    """Sorted swept cutoffs and a reference cutoff at least twice the largest."""
+    cutoffs = sorted(float(c) for c in (cutoffs or config.sweep_cutoffs))
+    if not cutoffs:
+        raise ConfigError("sweep requires a cutoff list")
+    reference = float(reference or config.sweep_reference or 0.0)
+    if reference <= 0.0:
+        raise ConfigError("sweep requires a reference cutoff")
+    if reference < 2.0 * max(cutoffs):
+        raise ConfigError(
+            f"reference cutoff {reference:g} must be at least twice the "
+            f"largest swept cutoff {max(cutoffs):g}"
+        )
+    return cutoffs, reference
+
+
 def _point_errors(config, state, ref):
-    """Error measures of one swept state against the reference state."""
+    """Error measures of one swept state against the reference state; the
+    S^{1,1} errors are dense up to ``config.dense_cap`` reference plane waves
+    and orbital surrogates above, as ``gamma_err_method`` records."""
     ref_basis = ref.basis
     rho_fine = transfer(state.rho, ref_basis)
     rho_err = l2_norm(rho_fine - ref.rho)
@@ -172,7 +190,6 @@ class SweepResult:
         self.energy_fit = energy_fit
         self.density_fit = density_fit
         self.a4 = a4
-        self.timing = config.timing
         self.tol_rho = config.tol_rho
         self.tol_f = config.tol_f
 
@@ -200,8 +217,6 @@ class SweepResult:
                 cells = []
                 for col in CSV_COLUMNS:
                     value = row[col]
-                    if col == "wall_s" and not self.timing:
-                        value = 0.0
                     if col == "scf_iters":
                         cells.append(str(int(value)))
                     else:
@@ -244,17 +259,7 @@ def run_sweep(config: RunConfig, cutoffs=None, reference=None,
     sweep points may run in parallel (MKS_THREADS), results are ordered by
     cutoff either way.
     """
-    cutoffs = sorted(float(c) for c in (cutoffs or config.sweep_cutoffs))
-    if not cutoffs:
-        raise ConfigError("sweep requires a cutoff list")
-    reference = float(reference or config.sweep_reference or 0.0)
-    if reference <= 0.0:
-        raise ConfigError("sweep requires a reference cutoff")
-    if reference < 2.0 * max(cutoffs):
-        raise ConfigError(
-            f"reference cutoff {reference:g} must be at least twice the "
-            f"largest swept cutoff {max(cutoffs):g}"
-        )
+    cutoffs, reference = _sweep_inputs(config, cutoffs, reference)
     beta = float(beta if beta is not None else config.beta)
 
     ref_state = run_single(config, cutoff=reference, beta=beta, tighten=0.1)
@@ -263,7 +268,7 @@ def run_sweep(config: RunConfig, cutoffs=None, reference=None,
         start = time.perf_counter()
         state = run_single(config, cutoff=ec, beta=beta)
         wall = time.perf_counter() - start
-        row = {"ec": ec, "wall_s": wall}
+        row = {"ec": ec, "wall_s": wall if config.timing else 0.0}
         row.update(_point_errors(config, state, ref_state))
         return row
 
@@ -297,37 +302,30 @@ def quasi_optimality(config: RunConfig, cutoffs=None, reference=None) -> dict:
     """Quasi-optimality of the Galerkin states against projection error.
 
     For each swept cutoff: ratio = ||Gamma_n - Gamma_ref||_S11 /
-    ||Pi_n Gamma_ref - Gamma_ref||_S11 (dense eigendecompositions), plus the
-    occupied orbital-error constant with phases aligned by overlap.  The
+    ||Pi_n Gamma_ref - Gamma_ref||_S11 (the sweep's ``_point_errors``), plus
+    the occupied orbital-error constant with phases aligned by overlap.  The
     ratio must stay below the configured bound and must not trend upward:
     its maximum over the finer half must not exceed 1.25x the maximum over
     the coarser half.
     """
-    cutoffs = sorted(float(c) for c in (cutoffs or config.sweep_cutoffs))
-    if not cutoffs:
-        raise ConfigError("quasi-optimality sweep requires a cutoff list")
-    reference = float(reference or config.sweep_reference or 0.0)
-    if reference < 2.0 * max(cutoffs):
-        raise ConfigError("reference cutoff must be at least twice the largest")
-
+    cutoffs, reference = _sweep_inputs(config, cutoffs, reference)
     ref = run_single(config, cutoff=reference, tighten=0.1)
     ref_basis = ref.basis
     n_occ = int(round(config.n_electrons))
 
-    ratios, constants = [], []
+    ratios, methods, constants = [], [], []
     for ec in cutoffs:
         state = run_single(config, cutoff=ec)
-        gamma_err = s11_distance_dense(state.gamma, ref.gamma, common=ref_basis)
-        proj = project_dm(ref.gamma, state.basis, orthonormalize=False)
-        proj_err = s11_distance_dense(proj, ref.gamma, common=ref_basis)
-        ratios.append(gamma_err / proj_err if proj_err > 0 else float("inf"))
+        errors = _point_errors(config, state, ref)
+        ratios.append(errors["ratio"])
+        methods.append(errors["gamma_err_method"])
 
         pos = mode_positions(state.basis, ref_basis)
+        embedded = embed_dm(state.gamma, ref_basis).orbitals
         num = den = 0.0
         for i in range(min(n_occ, state.gamma.n_states, ref.gamma.n_states)):
             phi_ref = ref.gamma.orbitals[:, i]
-            phi_n = np.zeros(ref_basis.size, dtype=complex)
-            phi_n[pos] = state.gamma.orbitals[:, i]
+            phi_n = embedded[:, i]
             overlap = np.vdot(phi_ref, phi_n)
             if abs(overlap) > 1e-14:
                 phi_n = phi_n * (np.conj(overlap) / abs(overlap))
@@ -346,6 +344,7 @@ def quasi_optimality(config: RunConfig, cutoffs=None, reference=None) -> dict:
     return {
         "cutoffs": cutoffs,
         "ratios": ratios,
+        "gamma_err_methods": methods,
         "max_ratio": max_ratio,
         "bound": config.quasi_opt_bound,
         "within_bound": max_ratio <= config.quasi_opt_bound,

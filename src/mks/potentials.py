@@ -105,17 +105,13 @@ class ExternalPotential:
             spec = self.fourier_coefficient(
                 basis.grid_modes @ basis.cell.reciprocal, basis.cell
             )
-            values = np.fft.ifftn(spec) * basis.n_grid
-            values = values.real
+            values = basis.fourier_values(spec).real
         else:  # cosine_series
             spec = np.zeros(basis.fft_shape, dtype=complex)
             for mode, amp in zip(self.modes, self.amplitudes):
                 for sign in (1, -1):
-                    idx = tuple(
-                        int((sign * m) % n) for m, n in zip(mode, basis.fft_shape)
-                    )
-                    spec[idx] += 0.5 * amp
-            values = (np.fft.ifftn(spec) * basis.n_grid).real
+                    spec[basis.grid_index(sign * mode)] += 0.5 * amp
+            values = basis.fourier_values(spec).real
         out = GridFunction(basis, values)
         self._cache[basis] = out
         return out
@@ -299,11 +295,13 @@ def audit_xc(xc: XcFunctional, n_samples=513, fd_rtol=1e-6):
     }
 
 
-def _coulomb_multiplier(basis: PlaneWaveBasis):
-    g2 = basis.grid_g2
-    mult = np.zeros_like(g2)
-    np.divide(4.0 * np.pi, g2, out=mult, where=g2 > 1e-14)
-    return mult
+def coulomb_solve(basis: PlaneWaveBasis, values):
+    """Plain Fourier coefficients rhohat of grid samples and the complex grid
+    values of their Coulomb potential sum_{G != 0} 4 pi rhohat(G) / |G|^2
+    exp(i G.r).  Shared by ``hartree`` and the response kernel; not a model
+    term, so not in ``__all__``."""
+    plain = basis.fourier_coefficients(values)
+    return plain, basis.fourier_values(basis.coulomb_multiplier * plain)
 
 
 def hartree(rho: GridFunction):
@@ -319,9 +317,8 @@ def hartree(rho: GridFunction):
         if np.abs(values.imag).max() > 1e-10:
             raise ValueError("density has a non-negligible imaginary part")
         values = values.real
-    mult = _coulomb_multiplier(basis)
-    plain = np.fft.fftn(values) / basis.n_grid
-    v_values = np.fft.ifftn(mult * plain) * basis.n_grid
+    mult = basis.coulomb_multiplier
+    plain, v_values = coulomb_solve(basis, values)
     v_h = GridFunction(basis, v_values.real)
     e_h = 0.5 * basis.cell.volume * float(np.sum(mult * np.abs(plain) ** 2))
     return v_h, e_h

@@ -17,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .cell import GridFunction
-from .potentials import _coulomb_multiplier
+from .potentials import coulomb_solve
 from .smearing import fermi_dirac_dmu
 from .scf import ScfState
 
@@ -133,7 +132,6 @@ class ResponseContext:
         self.g_diag = fermi_dirac_dmu(
             self.eigenvalues, self.mu, self.smearing, convention=g_sign
         )
-        self._coulomb = _coulomb_multiplier(self.basis) if state.hartree_on else None
         if not self.xc.is_null:
             rho = state.rho.values.real
             self._fxc = self.xc.d2(rho).reshape(-1)
@@ -152,10 +150,8 @@ class ResponseContext:
     def kernel_potential(self, rho_flat) -> np.ndarray:
         """dv = v_H(rho) + e_xc''(rho_bar) rho on the grid, flattened."""
         dv = np.zeros_like(rho_flat)
-        if self._coulomb is not None:
-            shaped = rho_flat.reshape(self.basis.fft_shape)
-            plain = np.fft.fftn(shaped) / self.basis.n_grid
-            vh = np.fft.ifftn(self._coulomb * plain) * self.basis.n_grid
+        if self.hartree_on:
+            _, vh = coulomb_solve(self.basis, rho_flat.reshape(self.basis.fft_shape))
             dv = dv + vh.reshape(-1)
         if self._fxc is not None:
             dv = dv + self._fxc * rho_flat

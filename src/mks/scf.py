@@ -71,17 +71,9 @@ class Hamiltonian:
         single = block.ndim == 1
         if single:
             block = block[:, None]
-        if block.shape[0] != basis.size:
-            raise ValueError(f"expected leading dimension {basis.size}")
-        k = block.shape[1]
-        d = basis.cell.dimension
-        axes = tuple(range(1, d + 1))
-        spec = np.zeros((k,) + basis.fft_shape, dtype=complex)
-        spec[(slice(None),) + basis._grid_index] = block.T
-        grid = np.fft.ifftn(spec, axes=axes)
+        grid = basis.to_grid(block.T)
         grid *= self.v_values
-        back = np.fft.fftn(grid, axes=axes)
-        pot = back[(slice(None),) + basis._grid_index].T
+        pot = basis.from_grid(grid).T
         out = 0.5 * basis.g_norm2[:, None] * block + pot
         return out[:, 0] if single else out
 
@@ -92,13 +84,9 @@ class Hamiltonian:
             raise EigensolverError(
                 f"refusing dense assembly for {basis.size} plane waves"
             )
-        vhat = np.fft.fftn(self.v_values) / basis.n_grid
+        vhat = basis.fourier_coefficients(self.v_values)
         diff = basis.g_int[:, None, :] - basis.g_int[None, :, :]
-        idx = tuple(
-            np.mod(diff[..., k], basis.fft_shape[k])
-            for k in range(basis.cell.dimension)
-        )
-        h = vhat[idx].astype(complex)
+        h = vhat[basis.grid_index(diff)].astype(complex)
         h[np.diag_indices(basis.size)] += 0.5 * basis.g_norm2
         return h
 

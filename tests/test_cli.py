@@ -163,8 +163,8 @@ def test_sweep_is_deterministic_with_timing_off(tmp_path):
         assert code == 0
         outputs.append(out)
     for tag in ("2", "20", "200"):
-        name = f"sweep_beta{tag}.csv"
-        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+        for name in (f"sweep_beta{tag}.csv", f"sweep_beta{tag}.json"):
+            assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
 
 
 def test_quasi_opt_json(tmp_path, capsys):
@@ -208,6 +208,21 @@ def test_scf_failure_exits_1(tmp_path, capsys):
     code = main(["scf", "--config", str(cfg), "--out", str(tmp_path / "y")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(
+            "Unable to allocate 29.6 GiB for an array with shape (63001, 63001) "
+            "and data type float64"
+        )
+
+    monkeypatch.setattr("mks.cli.run_sweep", exhausted)
+    code = main(["sweep", "--config", "free1d", "--out", str(tmp_path / "z")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -60,6 +60,12 @@ def test_density_matches_orbital_loop(small_basis):
         phi = small_basis.to_grid(gamma.orbitals[:, i]).values
         oracle += gamma.occupations[i] * np.abs(phi) ** 2
     np.testing.assert_allclose(rho.values, oracle, atol=1e-13)
+    # the block synthesis is bitwise the per-orbital loop
+    loop = np.stack([
+        small_basis.to_grid(gamma.orbitals[:, i]).values
+        for i in range(gamma.n_states)
+    ])
+    assert np.array_equal(gamma.orbitals_on_grid(), loop)
     assert complex(rho.integral()).real == pytest.approx(gamma.trace(), rel=1e-12)
     assert rho.values.min() >= -1e-12
 

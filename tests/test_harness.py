@@ -232,6 +232,17 @@ def test_quasi_optimality_small_interacting_chain():
     assert all(np.isfinite(c) for c in report["orbital_constants"])
     assert isinstance(report["trend_ok"], bool)
     assert report["passed"] == (report["within_bound"] and report["trend_ok"])
+    assert report["gamma_err_methods"] == ["dense"] * 3
+
+
+def test_quasi_optimality_matches_sweep_ratios():
+    cfg = RunConfig.from_file("si1d")
+    report = quasi_optimality(cfg, cutoffs=[2.0, 3.0, 4.0], reference=8.0)
+    sweep = run_sweep(cfg, cutoffs=[2.0, 3.0, 4.0], reference=8.0, beta=cfg.beta)
+    assert report["ratios"] == [row["ratio"] for row in sweep.rows]
+    assert report["gamma_err_methods"] == [
+        row["gamma_err_method"] for row in sweep.rows
+    ]
 
 
 def test_quasi_optimality_validates_reference():

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import converged_state
+from mks.cell import GridFunction
 from mks.config import RunConfig
 from mks.density_matrix import DensityMatrix
 from mks.harness import run_single
+from mks.potentials import hartree
 from mks.response import (
     ResponseContext,
     TangentPerturbation,
@@ -232,6 +234,16 @@ def test_dense_bare_matrix_is_symmetric(ctx_si1d):
 def test_chi_vanishes_without_interactions(ctx_free1d):
     psi = random_hermitian(ctx_free1d.n_states, seed=44)
     assert np.abs(apply_chi(ctx_free1d, psi)).max() <= 1e-14
+
+
+def test_kernel_potential_matches_hartree_without_xc(ctx_rhf1d):
+    basis = ctx_rhf1d.basis
+    psi = random_hermitian(ctx_rhf1d.n_states, seed=45)
+    rho = ctx_rhf1d.pair_density(psi).real
+    v_h, _ = hartree(GridFunction(basis, rho.reshape(basis.fft_shape)))
+    np.testing.assert_allclose(
+        ctx_rhf1d.kernel_potential(rho), v_h.values.reshape(-1), rtol=0, atol=1e-14
+    )
 
 
 def test_rhf_quadratic_form_nonpositive(ctx_rhf1d):
