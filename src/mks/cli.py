@@ -21,6 +21,9 @@ from .scf import EigensolverError, ScfError
 
 __all__ = ["main"]
 
+# failures of a run that exit 1 with one line on stderr
+_RUN_ERRORS = (ScfError, EigensolverError, RuntimeError, ValueError, MemoryError)
+
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -127,8 +130,14 @@ def _cmd_sweep(args, config) -> int:
     out = _out_dir(args, config)
     cutoffs = [float(c) for c in args.cutoffs.split(",")] if args.cutoffs else None
     summaries = []
+    failure = None
     for beta in config.sweep_betas:
-        result = run_sweep(config, cutoffs=cutoffs, reference=args.reference, beta=beta)
+        try:
+            result = run_sweep(config, cutoffs=cutoffs, reference=args.reference,
+                               beta=beta)
+        except _RUN_ERRORS as exc:
+            failure = failure or exc
+            continue
         tag = _beta_tag(beta)
         result.write_csv(os.path.join(out, f"sweep_beta{tag}.csv"))
         summary = result.summary()
@@ -144,6 +153,8 @@ def _cmd_sweep(args, config) -> int:
             print(
                 f"beta {beta:g}: reference F = {result.reference_f:.12f}, {fit_text}"
             )
+    if failure is not None:
+        raise failure
     if args.json:
         print(json.dumps({"sweeps": summaries}, sort_keys=True))
     return 0
@@ -216,8 +227,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ScfError, EigensolverError, RuntimeError, ValueError,
-            MemoryError) as exc:
+    except _RUN_ERRORS as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

@@ -7,15 +7,21 @@ a Hermitian tangent Psi (written in the retained orbital frame) as
 
 where D is the divided-difference table of the occupation function (its
 diagonal is f') and dv collects the Hartree and local xc kernels.  The
-constrained Jacobian pairs chi - I with the trace row; its solve eliminates
-Psi by a dense factorization on the tangent space and recovers the
-chemical-potential component from the trace constraint.
+constrained Jacobian pairs chi - I with the trace row.
+
+Nothing of size (m^2)^2 is ever built.  In real tangent coordinates chi is
+-S^2 B, with S = sqrt|D| per coordinate and B the bare Hartree/xc kernel,
+so every question is put to the symmetric operator A = I + S B S, applied
+at O(m^2 N_grid) cost: the A4 audit takes its smallest eigenvalue by
+Lanczos (ARPACK's implicitly restarted variant), and the Jacobian solve
+eliminates Psi by MINRES on A (A is indefinite whenever A4 fails) before
+recovering the chemical-potential component from the trace constraint.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.sparse.linalg import LinearOperator, eigsh, minres
 
 from .potentials import coulomb_solve
 from .smearing import fermi_dirac_dmu
@@ -29,12 +35,19 @@ __all__ = [
     "rhf_quadratic_form",
     "apply_jacobian",
     "solve_jacobian",
-    "dense_bare_matrix",
-    "dense_chi_matrix",
     "audit_a4",
 ]
 
 DEGENERACY_TOL = 1e-7
+
+# Lanczos (A4 audit) and MINRES (Jacobian solves) settings.  ARPACK's
+# default of 20 Lanczos vectors stalls on the unit-eigenvalue cluster of
+# Coulomb-only states (rhf1d); 40 converge on every bundled state.  The
+# seeded start vector makes repeated audits bitwise identical.
+LANCZOS_NCV = 40
+LANCZOS_TOL = 1e-12
+LANCZOS_SEED = 0
+MINRES_RTOL = 1e-14
 
 
 class TangentPerturbation:
@@ -137,7 +150,6 @@ class ResponseContext:
             self._fxc = self.xc.d2(rho).reshape(-1)
         else:
             self._fxc = None
-        self._dense_cache = None
 
     # -- kernel pieces ---------------------------------------------------
 
@@ -225,44 +237,61 @@ def coords_to_hermitian(x, m) -> np.ndarray:
     return psi
 
 
-def _coordinate_weights(ctx: ResponseContext) -> np.ndarray:
-    """Divided-difference factor of each real tangent coordinate.
+class _WeightedKernel:
+    """A = I + S B S, applied matrix-free; ``applications`` counts its uses.
 
+    B is the bare Hartree/xc kernel Psi -> <phi_i| dv[rho_Psi] |phi_j> on
+    the real Hermitian coordinates, symmetric up to quadrature roundoff.
     The Hadamard product with the symmetric real table D is diagonal in
-    the real coordinates, so chi factors exactly as diag(w) @ B with B
-    the bare Hartree/xc kernel matrix.  Every w is negative (or a
-    negative underflowed to -0.0) for Fermi-Dirac occupations.
+    those coordinates, so chi = diag(w) B exactly, and every w is negative
+    (or a negative underflowed to -0.0) for Fermi-Dirac occupations.  With
+    S = sqrt|w|, chi = -S^2 B, so A is I - chi conjugated by S and carries
+    its spectrum.
     """
-    iu = _coord_maps(ctx.n_states)
-    d = ctx.dd_table
-    return np.concatenate([d.diagonal(), d[iu], d[iu]])
 
+    def __init__(self, ctx: ResponseContext):
+        self.ctx = ctx
+        iu = _coord_maps(ctx.n_states)
+        d = ctx.dd_table
+        self.s = np.sqrt(np.abs(np.concatenate([d.diagonal(), d[iu], d[iu]])))
+        self.dim = self.s.size
+        self.applications = 0
 
-def dense_bare_matrix(ctx: ResponseContext) -> np.ndarray:
-    """Matrix of Psi -> <phi_i| dv[rho_Psi] |phi_j> on the real Hermitian
-    coordinates (tangent_dim^2 reals), symmetric up to quadrature roundoff.
+    def operator(self) -> LinearOperator:
+        # made per call: stored on self it would form a reference cycle
+        # that keeps the context's grid arrays alive until a gc pass
+        return LinearOperator((self.dim, self.dim), matvec=self.apply, dtype=float)
 
-    Columns are the kernel applied to the orthonormal Hermitian basis
-    elements; the result is cached on the context.
-    """
-    if ctx._dense_cache is not None:
-        return ctx._dense_cache
-    m = ctx.n_states
-    dim = m * m
-    cols = np.empty((dim, dim))
-    for alpha in range(dim):
-        e = np.zeros(dim)
-        e[alpha] = 1.0
-        b = coords_to_hermitian(e, m)
-        dv = ctx.kernel_potential(ctx.pair_density(b).real)
-        cols[:, alpha] = hermitian_to_coords(ctx.matrix_elements(dv))
-    ctx._dense_cache = cols
-    return cols
+    def bare(self, x) -> np.ndarray:
+        ctx = self.ctx
+        rho = ctx.pair_density(coords_to_hermitian(x, ctx.n_states)).real
+        return hermitian_to_coords(ctx.matrix_elements(ctx.kernel_potential(rho)))
 
+    def apply(self, q) -> np.ndarray:
+        self.applications += 1
+        q = np.ravel(q)
+        return q + self.s * self.bare(self.s * q)
 
-def dense_chi_matrix(ctx: ResponseContext) -> np.ndarray:
-    """Matrix of chi on the real Hermitian coordinates: diag(w) @ bare."""
-    return _coordinate_weights(ctx)[:, None] * dense_bare_matrix(ctx)
+    def lowest_eigenvalue(self) -> float:
+        if self.dim == 1:
+            return float(self.apply(np.ones(1))[0])
+        v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(self.dim)
+        eigs = eigsh(self.operator(), k=1, which="SA", v0=v0, tol=LANCZOS_TOL,
+                     ncv=min(LANCZOS_NCV, self.dim - 1), return_eigenvectors=False)
+        return float(eigs[0])
+
+    def solve_chi_minus_identity(self, r) -> np.ndarray:
+        """y = (chi - I)^{-1} r as -r + S q with (I + S B S) q = S B r,
+        which needs no division by S where a weight underflows to -0.0."""
+        b = self.s * self.bare(r)
+        q, info = minres(self.operator(), b, rtol=MINRES_RTOL)
+        if info != 0:
+            residual = np.linalg.norm(b - self.apply(q))
+            raise RuntimeError(
+                f"MINRES on I + S B S stopped without converging (info = {info}, "
+                f"residual = {residual:.3e})"
+            )
+        return -r + self.s * q
 
 
 def solve_jacobian(ctx: ResponseContext, phi, t: float,
@@ -270,28 +299,21 @@ def solve_jacobian(ctx: ResponseContext, phi, t: float,
     """Solve J(Psi, s) = (Phi, t) for the tangent and the mu component.
 
     Psi = (chi - I)^{-1} (Phi - s g_mu(H)) with
-    s = (Tr((chi - I)^{-1} Phi) - t) / Tr((chi - I)^{-1} g_mu(H)); both
-    solves share one dense factorization.  A residual is checked and
-    polished by iterative refinement; singular systems raise with the
-    smallest singular value in the message.
+    s = (Tr((chi - I)^{-1} Phi) - t) / Tr((chi - I)^{-1} g_mu(H)); each
+    (chi - I)^{-1} is a MINRES solve on A = I + S B S.  The exact residual
+    is checked through apply_jacobian and polished by iterative refinement;
+    a system that stays unsolved raises with the MINRES status and the
+    residual in the message.
     """
     phi = np.asarray(phi, dtype=complex)
     m = ctx.n_states
     if phi.shape != (m, m):
         raise ValueError(f"right-hand side must be ({m}, {m})")
-    a = dense_chi_matrix(ctx) - np.eye(m * m)
-    try:
-        lu = scipy.linalg.lu_factor(a)
-    except scipy.linalg.LinAlgError as exc:
-        smin = scipy.linalg.svdvals(a)[-1]
-        raise RuntimeError(
-            f"chi - I is singular on the tangent space (s_min = {smin:.3e})"
-        ) from exc
-
+    op = _WeightedKernel(ctx)
     g_coords = hermitian_to_coords(np.diag(ctx.g_diag).astype(complex))
     phi_coords = hermitian_to_coords(phi)
-    y_phi = scipy.linalg.lu_solve(lu, phi_coords)
-    y_g = scipy.linalg.lu_solve(lu, g_coords)
+    y_phi = op.solve_chi_minus_identity(phi_coords)
+    y_g = op.solve_chi_minus_identity(g_coords)
     denom = float(y_g[:m].sum())
     if abs(denom) < 1e-13 * max(1.0, float(np.abs(y_g).max())):
         raise RuntimeError(
@@ -300,49 +322,45 @@ def solve_jacobian(ctx: ResponseContext, phi, t: float,
     s = (float(y_phi[:m].sum()) - t) / denom
     x = y_phi - s * y_g
 
-    for _ in range(max(refine, 0)):
-        psi = coords_to_hermitian(x, m)
-        out = apply_jacobian(ctx, psi, s)
-        r_first = phi - out.matrix
+    tolerance = 1e-10 * max(1.0, np.linalg.norm(phi_coords) + abs(t))
+    steps = max(refine, 0)
+    for attempt in range(steps + 1):
+        out = apply_jacobian(ctx, coords_to_hermitian(x, m), s)
+        r_first = hermitian_to_coords(phi - out.matrix)
         r_trace = t - out.scalar
-        size = np.linalg.norm(hermitian_to_coords(r_first)) + abs(r_trace)
-        if size <= 1e-10 * max(1.0, np.linalg.norm(phi_coords) + abs(t)):
+        size = np.linalg.norm(r_first) + abs(r_trace)
+        if size <= tolerance:
             break
-        y_r = scipy.linalg.lu_solve(lu, hermitian_to_coords(r_first))
+        if attempt == steps:
+            raise RuntimeError(
+                f"chi - I is singular on the tangent space (MINRES info 0, "
+                f"Jacobian residual {size:.3e} after {steps} refinement steps)"
+            )
+        y_r = op.solve_chi_minus_identity(r_first)
         ds = (float(y_r[:m].sum()) - r_trace) / denom
         x = x + y_r - ds * y_g
         s = s + ds
-    psi = coords_to_hermitian(x, m)
-    return TangentPerturbation(psi, s)
+    return TangentPerturbation(coords_to_hermitian(x, m), s)
 
 
 def audit_a4(ctx: ResponseContext) -> dict:
     """Positivity audit of I - chi on the retained tangent space.
 
-    chi = diag(w) @ bare is not symmetric in the plain Frobenius
-    coordinates, but all the divided-difference weights w are negative, so
-    conjugating by diag(sqrt|w|) is a similarity transform onto the
-    symmetric matrix -sqrt|w| bare sqrt|w|.  The reported spectrum of
-    I - chi therefore comes from an ordinary symmetric eigensolve in the
-    metric where chi is self-adjoint.  Reports the smallest eigenvalue,
-    the implied kappa = 1 / lambda_min, and the trace-row denominator
-    under the configured g convention.  A non-positive lambda_min is
-    flagged, not raised; the report is the deliverable.
+    chi is not symmetric in the plain Frobenius coordinates, but I - chi is
+    similar to the symmetric A = I + S B S, whose smallest eigenvalue comes
+    from Lanczos.  Reports that eigenvalue, the implied kappa =
+    1 / lambda_min, the trace-row denominator under the configured g
+    convention (a MINRES solve on A) and the number of products with A
+    used.  A non-positive lambda_min is flagged, not raised; the report is
+    the deliverable.
     """
     m = ctx.n_states
-    bare = dense_bare_matrix(ctx)
-    bare = 0.5 * (bare + bare.T)
-    s = np.sqrt(np.abs(_coordinate_weights(ctx)))
-    sym = np.eye(m * m) + (s[:, None] * bare) * s[None, :]
-    eigs = np.linalg.eigvalsh(sym)
-    lambda_min = float(eigs[0])
+    op = _WeightedKernel(ctx)
+    lambda_min = op.lowest_eigenvalue()
     kappa = float(1.0 / lambda_min) if lambda_min > 0 else float("inf")
 
-    a = dense_chi_matrix(ctx) - np.eye(m * m)
-    lu = scipy.linalg.lu_factor(a)
     g_coords = hermitian_to_coords(np.diag(ctx.g_diag).astype(complex))
-    y_g = scipy.linalg.lu_solve(lu, g_coords)
-    denominator_s = float(y_g[:m].sum())
+    denominator_s = float(op.solve_chi_minus_identity(g_coords)[:m].sum())
 
     return {
         "lambda_min": lambda_min,
@@ -350,5 +368,6 @@ def audit_a4(ctx: ResponseContext) -> dict:
         "denominator_s": denominator_s,
         "g_sign": ctx.g_sign,
         "tangent_dim": int(m * m),
+        "operator_applications": op.applications,
         "violated": bool(lambda_min <= 0.0),
     }

@@ -1,12 +1,17 @@
-"""Shared fixtures: converged benchmark states, solved once per session."""
+"""Shared fixtures: converged benchmark states, solved once per session,
+and the dense column-by-column oracle of the response operator."""
+
+import weakref
 
 import numpy as np
 import pytest
 
 from mks.config import RunConfig
 from mks.harness import run_single
+from mks.response import coords_to_hermitian, hermitian_to_coords
 
 _STATES = {}
+_DENSE_BARE = weakref.WeakKeyDictionary()
 
 
 def converged_state(name):
@@ -48,3 +53,32 @@ def random_density_matrix(basis, m, seed, occupations=None):
     from mks.density_matrix import DensityMatrix
 
     return DensityMatrix(basis, q, np.asarray(occupations, dtype=float))
+
+
+def coordinate_weights(ctx):
+    """Divided-difference factor of each real tangent coordinate."""
+    iu = np.triu_indices(ctx.n_states, 1)
+    d = ctx.dd_table
+    return np.concatenate([d.diagonal(), d[iu], d[iu]])
+
+
+def dense_bare_matrix(ctx):
+    """Matrix of Psi -> <phi_i| dv[rho_Psi] |phi_j> on the real Hermitian
+    coordinates, one kernel application per column; cached per context."""
+    if ctx not in _DENSE_BARE:
+        m = ctx.n_states
+        dim = m * m
+        cols = np.empty((dim, dim))
+        for alpha in range(dim):
+            e = np.zeros(dim)
+            e[alpha] = 1.0
+            b = coords_to_hermitian(e, m)
+            dv = ctx.kernel_potential(ctx.pair_density(b).real)
+            cols[:, alpha] = hermitian_to_coords(ctx.matrix_elements(dv))
+        _DENSE_BARE[ctx] = cols
+    return _DENSE_BARE[ctx]
+
+
+def dense_chi_matrix(ctx):
+    """Matrix of chi on the real Hermitian coordinates: diag(w) @ bare."""
+    return coordinate_weights(ctx)[:, None] * dense_bare_matrix(ctx)

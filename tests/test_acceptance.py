@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import converged_state
+from conftest import converged_state, dense_chi_matrix
 from test_density_matrix import dense_from_projectors, s11_of_dense
 from test_harness import free_particle_free_energy
 from test_response import (
@@ -34,7 +34,6 @@ from mks.response import (
     apply_jacobian,
     audit_a4,
     coords_to_hermitian,
-    dense_chi_matrix,
     hermitian_to_coords,
     rhf_quadratic_form,
     solve_jacobian,

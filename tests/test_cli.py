@@ -225,6 +225,29 @@ def test_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
+def test_sweep_failure_keeps_later_betas(tmp_path, capsys, monkeypatch):
+    from mks.cli import run_sweep as real_run_sweep
+
+    def first_beta_fails(config, **kwargs):
+        if kwargs["beta"] == config.sweep_betas[0]:
+            raise MemoryError("Unable to allocate the first beta")
+        return real_run_sweep(config, **kwargs)
+
+    monkeypatch.setattr("mks.cli.run_sweep", first_beta_fails)
+    out = tmp_path / "partial"
+    code = main([
+        "sweep", "--config", "si1d", "--out", str(out),
+        "--cutoffs", "6,9", "--reference", "18",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate the first beta\n"
+    assert not (out / "sweep_beta4.csv").exists()
+    for tag in ("40", "400"):
+        assert (out / f"sweep_beta{tag}.csv").is_file()
+        assert (out / f"sweep_beta{tag}.json").is_file()
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SMOKE_ARGS = ["scf", "--config", "free1d", "--json", "--out"]
 

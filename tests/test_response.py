@@ -7,10 +7,16 @@ occupation function of its full spectrum at fixed chemical potential.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import converged_state
+from conftest import (
+    converged_state,
+    coordinate_weights,
+    dense_bare_matrix,
+    dense_chi_matrix,
+)
 from mks.cell import GridFunction
-from mks.config import RunConfig
+from mks.config import RunConfig, bundled_config_path
 from mks.density_matrix import DensityMatrix
 from mks.harness import run_single
 from mks.potentials import hartree
@@ -21,8 +27,6 @@ from mks.response import (
     apply_jacobian,
     audit_a4,
     coords_to_hermitian,
-    dense_bare_matrix,
-    dense_chi_matrix,
     divided_difference_table,
     hermitian_to_coords,
     rhf_quadratic_form,
@@ -350,6 +354,20 @@ def test_solve_jacobian_round_trip(name):
     assert back.scalar == pytest.approx(t, abs=1e-8)
 
 
+@pytest.mark.parametrize("info, message", [(0, "refinement steps"), (7, "info = 7")])
+def test_unsolved_jacobian_raises_with_minres_status(ctx_si1d, monkeypatch, info,
+                                                     message):
+    # a MINRES that stops at zero: with info 0 the refinement cannot reach
+    # the residual tolerance, with info > 0 the solve itself reports it
+    def stalled(a, b, **kwargs):
+        return np.zeros_like(b), info
+
+    monkeypatch.setattr("mks.response.minres", stalled)
+    phi = random_hermitian(ctx_si1d.n_states, seed=55)
+    with pytest.raises(RuntimeError, match=message):
+        solve_jacobian(ctx_si1d, phi, 0.1)
+
+
 def test_solve_jacobian_validates_shape(ctx_free1d):
     with pytest.raises(ValueError):
         solve_jacobian(ctx_free1d, np.eye(2), 0.0)
@@ -406,25 +424,83 @@ def test_audit_tiny3d_regression(ctx_tiny3d):
     assert not report["violated"]
 
 
-def test_audit_spectrum_equals_nonsymmetric_eigenvalues(ctx_si1d):
-    # the weighted-metric symmetric solve is a similarity transform, so it
-    # must reproduce the spectrum of I - chi in the raw coordinates
-    m = ctx_si1d.n_states
+@pytest.mark.parametrize("name", ["si1d", "rhf1d", "tiny3d"])
+def test_audit_spectrum_equals_nonsymmetric_eigenvalues(name):
+    # the weighted-metric symmetric operator is a similarity transform of
+    # I - chi, so the dense oracle's spectrum in the raw coordinates must
+    # match, and the Lanczos value must be its smallest eigenvalue (rhf1d
+    # puts it inside a degenerate cluster at exactly 1)
+    ctx = ResponseContext(converged_state(name))
+    m = ctx.n_states
     dim = m * m
-    a = np.eye(dim) - dense_chi_matrix(ctx_si1d)
+    a = np.eye(dim) - dense_chi_matrix(ctx)
     raw = np.linalg.eigvals(a)
     assert np.abs(raw.imag).max() <= 1e-10
-    s = np.sqrt(np.abs(np.concatenate([
-        ctx_si1d.dd_table.diagonal(),
-        ctx_si1d.dd_table[np.triu_indices(m, 1)],
-        ctx_si1d.dd_table[np.triu_indices(m, 1)],
-    ])))
-    bare = dense_bare_matrix(ctx_si1d)
+    s = np.sqrt(np.abs(coordinate_weights(ctx)))
+    bare = dense_bare_matrix(ctx)
     sym = np.eye(dim) + (s[:, None] * 0.5 * (bare + bare.T)) * s[None, :]
     sym_eigs = np.linalg.eigvalsh(sym)
     np.testing.assert_allclose(np.sort(raw.real), sym_eigs, atol=1e-8)
-    report = audit_a4(ctx_si1d)
+    report = audit_a4(ctx)
     assert report["lambda_min"] == pytest.approx(sym_eigs[0], abs=1e-10)
+    assert 0 < report["operator_applications"] < dim
+
+
+def test_audit_is_deterministic(ctx_tiny3d):
+    assert audit_a4(ctx_tiny3d) == audit_a4(ctx_tiny3d)
+
+
+def test_solve_jacobian_matches_dense_lu_oracle(ctx_si1d):
+    m = ctx_si1d.n_states
+    dim = m * m
+    g = hermitian_to_coords(np.diag(ctx_si1d.g_diag).astype(complex))
+    block = np.zeros((dim + 1, dim + 1))
+    block[:dim, :dim] = dense_chi_matrix(ctx_si1d) - np.eye(dim)
+    block[:dim, dim] = g
+    block[dim, :m] = 1.0
+    phi = random_hermitian(m, seed=53)
+    t = 0.41
+    rhs = np.append(hermitian_to_coords(phi), t)
+    oracle = scipy.linalg.lu_solve(scipy.linalg.lu_factor(block), rhs)
+    out = solve_jacobian(ctx_si1d, phi, t)
+    np.testing.assert_allclose(hermitian_to_coords(out.matrix), oracle[:dim],
+                               rtol=0, atol=1e-10)
+    assert out.scalar == pytest.approx(oracle[dim], abs=1e-10)
+
+
+def test_audit_and_solve_on_one_plane_wave():
+    # below the first nonzero shell the basis is G = 0 alone: one state,
+    # tangent dimension 1, too small for Lanczos
+    text = bundled_config_path("rhf1d").read_text()
+    text = text.replace("cutoff = 20.0", "cutoff = 0.1").replace(
+        "n_electrons = 4", "n_electrons = 0.5"
+    )
+    state = run_single(RunConfig.from_text(text, origin="one-plane-wave"))
+    ctx = ResponseContext(state)
+    report = audit_a4(ctx)
+    assert report["tangent_dim"] == 1
+    assert report["lambda_min"] == pytest.approx(1.0, abs=1e-12)
+    out = solve_jacobian(ctx, np.eye(1), 0.2)
+    back = apply_jacobian(ctx, out.matrix, out.scalar)
+    assert np.abs(back.matrix - np.eye(1)).max() <= 1e-8
+    assert back.scalar == pytest.approx(0.2, abs=1e-8)
+
+
+def test_matrix_free_audit_beyond_dense_reach():
+    # tiny3d at beta 2 keeps all 81 plane waves as states: a dense
+    # (m^2)^2 matrix would hold 6561^2 doubles (344 MB)
+    cfg = RunConfig.from_file("tiny3d")
+    state = run_single(cfg, beta=2.0)
+    ctx = ResponseContext(state)
+    assert state.basis.size == 81 and ctx.n_states == 81
+    report = audit_a4(ctx)
+    assert report["tangent_dim"] == 6561
+    assert report["lambda_min"] == pytest.approx(0.892939006604, rel=1e-7)
+    phi = random_hermitian(ctx.n_states, seed=54)
+    out = solve_jacobian(ctx, phi, 0.3)
+    back = apply_jacobian(ctx, out.matrix, out.scalar)
+    assert np.abs(back.matrix - phi).max() <= 1e-8
+    assert back.scalar == pytest.approx(0.3, abs=1e-8)
 
 
 def test_audit_lambda_min_stable_under_refinement(ctx_si1d):
