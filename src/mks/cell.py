@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import next_fast_len
+from scipy.fft import fftn, ifftn, next_fast_len
 
 __all__ = [
     "Cell",
@@ -154,6 +154,21 @@ class PlaneWaveBasis:
         np.divide(4.0 * np.pi, g2, out=mult, where=g2 > 1e-14)
         return mult
 
+    @cached_property
+    def difference_index(self):
+        """Flat FFT-grid position of every G - G' (int32, shape (size, size)).
+
+        ``fourier_coefficients(v).ravel()[difference_index]`` is the dense
+        matrix of the multiplication by v.  It takes 4 size^2 bytes, so
+        callers bound ``size`` before touching it.
+        """
+        g = self.g_int.astype(np.int32)
+        flat = np.zeros((self.size, self.size), dtype=np.int32)
+        for k, n in enumerate(self.fft_shape):
+            flat *= n
+            flat += np.mod(g[:, None, k] - g[None, :, k], n)
+        return flat
+
     def grid_index(self, modes):
         """Grid position of integer modes (..., d), wrapped onto the FFT grid."""
         return tuple(np.mod(modes[..., k], n) for k, n in enumerate(self.fft_shape))
@@ -183,7 +198,7 @@ class PlaneWaveBasis:
         batch = coefficients.shape[:-1]
         spec = np.zeros(batch + self.fft_shape, dtype=complex)
         spec[(Ellipsis,) + self._grid_index] = coefficients
-        values = np.fft.ifftn(spec, axes=self._grid_axes)
+        values = ifftn(spec, axes=self._grid_axes)
         values *= self.n_grid / np.sqrt(self.cell.volume)
         return values if batch else GridFunction(self, values)
 
@@ -204,16 +219,16 @@ class PlaneWaveBasis:
     def grid_spectrum(self, values) -> np.ndarray:
         """Orthonormal-convention coefficients of every FFT-grid mode."""
         values = np.asarray(values)
-        spec = np.fft.fftn(values, axes=self._grid_axes)
+        spec = fftn(values, axes=self._grid_axes)
         return spec * (np.sqrt(self.cell.volume) / self.n_grid)
 
     def fourier_coefficients(self, values) -> np.ndarray:
         """Plain Fourier-series coefficients vhat(G) of grid samples."""
-        return np.fft.fftn(values, axes=self._grid_axes) / self.n_grid
+        return fftn(values, axes=self._grid_axes) / self.n_grid
 
     def fourier_values(self, coefficients) -> np.ndarray:
         """Grid samples of sum_G vhat(G) exp(i G.r) (complex)."""
-        return np.fft.ifftn(coefficients, axes=self._grid_axes) * self.n_grid
+        return ifftn(coefficients, axes=self._grid_axes) * self.n_grid
 
     def kinetic(self) -> np.ndarray:
         """Diagonal of -Laplacian/2 in the basis, i.e. |G|^2 / 2."""

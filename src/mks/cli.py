@@ -93,6 +93,7 @@ def _cmd_scf(args, config) -> int:
         "residual_fixedpoint": state.residual_fixedpoint,
         "trace": state.gamma.trace(),
         "n_states": state.gamma.n_states,
+        "basis_exhausted": state.gamma.n_states == state.basis.size,
     }
     log_path = os.path.join(out, "scf_iterations.csv")
     with open(log_path, "w", newline="") as fh:

@@ -262,13 +262,14 @@ class FreeEnergyBreakdown:
 
 
 def free_energy(gamma: DensityMatrix, external: ExternalPotential,
-                xc: XcFunctional, smearing: Smearing,
-                hartree_on=True) -> FreeEnergyBreakdown:
+                xc: XcFunctional, smearing: Smearing, hartree_on=True,
+                rho: GridFunction | None = None) -> FreeEnergyBreakdown:
     """Mermin free energy of a state.
 
     F = Tr(-1/2 Laplacian Gamma) + int v_ext rho + Hartree + int e_xc(rho)
       + beta^-1 sum_i [f_i ln f_i + (1 - f_i) ln(1 - f_i)],
-    the entropy evaluated through occupations only.
+    the entropy evaluated through occupations only.  ``rho`` is
+    ``density(gamma)`` when the caller already has it.
     """
     kinetic = float(
         np.einsum(
@@ -278,7 +279,8 @@ def free_energy(gamma: DensityMatrix, external: ExternalPotential,
             np.abs(gamma.orbitals) ** 2,
         )
     )
-    rho = density(gamma)
+    if rho is None:
+        rho = density(gamma)
     terms = assemble_effective(rho, external, xc, hartree_on=hartree_on)
     s = entropy(gamma.occupations, smearing)
     return FreeEnergyBreakdown(kinetic, terms.e_ext, terms.e_hartree,

@@ -63,6 +63,7 @@ class Hamiltonian:
             values = values.real
         self.basis = basis
         self.v_values = values
+        self._dense = None
 
     def apply(self, block) -> np.ndarray:
         """Apply H to one coefficient vector or a (size, k) block."""
@@ -78,17 +79,22 @@ class Hamiltonian:
         return out[:, 0] if single else out
 
     def dense(self) -> np.ndarray:
-        """Assemble the dense matrix H_GG' = |G|^2/2 delta + vhat(G - G')."""
-        basis = self.basis
-        if basis.size > 4096:
-            raise EigensolverError(
-                f"refusing dense assembly for {basis.size} plane waves"
-            )
-        vhat = basis.fourier_coefficients(self.v_values)
-        diff = basis.g_int[:, None, :] - basis.g_int[None, :, :]
-        h = vhat[basis.grid_index(diff)].astype(complex)
-        h[np.diag_indices(basis.size)] += 0.5 * basis.g_norm2
-        return h
+        """The dense matrix H_GG' = |G|^2/2 delta + vhat(G - G').
+
+        Assembled on the first call and returned read-only afterwards.
+        """
+        if self._dense is None:
+            basis = self.basis
+            if basis.size > 4096:
+                raise EigensolverError(
+                    f"refusing dense assembly for {basis.size} plane waves"
+                )
+            vhat = basis.fourier_coefficients(self.v_values).ravel()
+            h = vhat[basis.difference_index]
+            h[np.diag_indices(basis.size)] += 0.5 * basis.g_norm2
+            h.flags.writeable = False
+            self._dense = h
+        return self._dense
 
     def diagonal_preconditioner(self, shift=1.0) -> LinearOperator:
         d = 1.0 / (0.5 * self.basis.g_norm2 + shift)
@@ -132,9 +138,7 @@ def lowest_eigenpairs(ham: Hamiltonian, m: int, seed: int = 0,
         path = "dense"
 
     if path == "dense":
-        h = ham.dense()
-        vals, vecs = scipy.linalg.eigh(h)
-        vals, vecs = vals[:m], vecs[:, :m]
+        vals, vecs = scipy.linalg.eigh(ham.dense(), subset_by_index=[0, m - 1])
     elif path == "iterative":
         rng = np.random.default_rng(seed + 7)
         x0 = rng.standard_normal((basis.size, m)) + 1j * rng.standard_normal(
@@ -351,7 +355,8 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
             hartree_on=hartree_on, n_states=n_states, seed=seed,
         )
         n_states = gamma.n_states
-        breakdown = free_energy(gamma, external, xc, smearing, hartree_on=hartree_on)
+        breakdown = free_energy(gamma, external, xc, smearing,
+                                hartree_on=hartree_on, rho=rho_out)
         delta = l2_norm(rho_out - rho_in)
         history.append(
             {

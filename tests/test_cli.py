@@ -40,6 +40,9 @@ def test_scf_json_mode(tmp_path, capsys):
     assert summary["basis_size"] == 9
     assert len(summary["config_hash"]) == 16
     assert summary["trace"] == pytest.approx(2.0, abs=1e-12)
+    # two electrons at the bundled beta occupy all nine plane waves
+    assert summary["n_states"] == 9
+    assert summary["basis_exhausted"] is True
     assert read_json(out / "scf_summary.json") == summary
 
     lines = (out / "scf_iterations.csv").read_text().strip().split("\n")
@@ -51,6 +54,20 @@ def test_scf_json_mode(tmp_path, capsys):
     gamma, meta = load_density_matrix(out / "checkpoint.json")
     assert gamma.trace() == pytest.approx(2.0, abs=1e-12)
     assert meta["mu"] == summary["mu"]
+
+
+@pytest.mark.parametrize("beta, exhausted", [(2.0, True), (20.0, False)])
+def test_scf_reports_exhausted_basis(tmp_path, capsys, beta, exhausted):
+    cfg = tmp_path / "tiny3d.cfg"
+    text = bundled_config_path("tiny3d").read_text()
+    cfg.write_text(text.replace("beta = 20.0", f"beta = {beta}"))
+    code = main(["scf", "--config", str(cfg), "--json",
+                 "--out", str(tmp_path / "run")])
+    assert code == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["basis_size"] == 81
+    assert summary["basis_exhausted"] is exhausted
+    assert (summary["n_states"] == 81) is exhausted
 
 
 def test_scf_human_mode(tmp_path, capsys):

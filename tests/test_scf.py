@@ -2,12 +2,19 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import converged_state, random_density_matrix
+from mks import density_matrix, scf
 from mks.cell import Cell, GridFunction, build_basis, l2_norm
 from mks.config import RunConfig
 from mks.density_matrix import dense_operator, free_energy, perturb, rotate
-from mks.potentials import ExternalPotential, gaussian_wells, null_xc
+from mks.potentials import (
+    ExternalPotential,
+    assemble_effective,
+    gaussian_wells,
+    null_xc,
+)
 from mks.scf import (
     EigensolverError,
     Hamiltonian,
@@ -59,6 +66,113 @@ def test_hamiltonian_dense_matches_apply():
     np.testing.assert_allclose(
         np.diag(h).real, 0.5 * basis.g_norm2 + v.values.mean(), atol=1e-12
     )
+
+
+def state_hamiltonian(state):
+    terms = assemble_effective(state.rho, state.external, state.xc,
+                               hartree_on=state.hartree_on)
+    return Hamiltonian(state.basis, terms.v_eff)
+
+
+@pytest.mark.parametrize("lattice, cutoff", [
+    (10.0, 8.0),
+    ([[6.0, 0.0], [1.5, 5.0]], 3.0),
+    (6.0 * np.eye(3), 4.0),
+], ids=["1d", "2d", "3d"])
+def test_hamiltonian_dense_matches_per_axis_gather(lattice, cutoff):
+    basis = build_basis(Cell(lattice), cutoff)
+    d = basis.cell.dimension
+    v = gaussian_wells([[2.0] * d], [-2.0], [0.7]).evaluate(basis)
+    ham = Hamiltonian(basis, v)
+    h = ham.dense()
+    # reference gather: one wrapped index array per axis
+    vhat = basis.fourier_coefficients(v.values)
+    reference = vhat[basis.grid_index(basis.g_int[:, None] - basis.g_int[None])]
+    reference[np.diag_indices(basis.size)] += 0.5 * basis.g_norm2
+    assert np.array_equal(h, reference)
+    assert basis.difference_index.dtype == np.int32
+    # assembled once, and shared read-only
+    assert ham.dense() is h
+    assert not h.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["si1d", "tiny3d"])
+def test_dense_partial_eigensolve_matches_full_eigh(name):
+    state = converged_state(name)
+    ham = state_hamiltonian(state)
+    size = state.basis.size
+    full_vals, full_vecs = scipy.linalg.eigh(ham.dense())
+    tol = 1e-12 * max(1.0, np.abs(full_vals).max())
+    # smallest m at or above the kept state count that ends on a spectral gap
+    m_gap = next(
+        m for m in range(state.gamma.n_states, size)
+        if full_vals[m] - full_vals[m - 1] > 1e-6
+    )
+    for m in (1, m_gap, size):
+        vals, vecs = lowest_eigenpairs(ham, m, force="dense")
+        assert vals.shape == (m,)
+        assert np.abs(vals - full_vals[:m]).max() <= tol
+        if m == 1:
+            continue
+        projector = vecs @ vecs.conj().T
+        oracle = full_vecs[:, :m] @ full_vecs[:, :m].conj().T
+        assert np.abs(projector - oracle).max() <= 1e-10
+
+
+def test_fixed_point_map_assembles_once_while_growing(monkeypatch):
+    cfg = RunConfig.from_file("tiny3d")
+    basis = cfg.build_basis()
+    rho0 = GridFunction(
+        basis, np.full(basis.fft_shape, cfg.n_electrons / basis.cell.volume)
+    )
+    calls = []
+    solve = scf.lowest_eigenpairs
+
+    def spy(ham, m, **kwargs):
+        calls.append((m, ham.dense()))
+        return solve(ham, m, **kwargs)
+
+    monkeypatch.setattr(scf, "lowest_eigenpairs", spy)
+    gamma, _, _ = fixed_point_map(
+        rho0, cfg.build_external(), cfg.build_xc(), cfg.build_smearing(),
+        cfg.n_electrons,
+    )
+    sizes = [m for m, _ in calls]
+    assert sizes[0] == 10
+    assert len(sizes) > 1 and sizes == sorted(sizes)
+    assert gamma.n_states > 10
+    assert all(h is calls[0][1] for _, h in calls)
+
+
+@pytest.mark.parametrize("name", BENCHMARKS)
+def test_scf_free_energy_matches_recomputation(name):
+    # run_scf reuses the map's output density; a fresh evaluation agrees
+    state = converged_state(name)
+    fresh = free_energy(state.gamma, state.external, state.xc,
+                        state.smearing, hartree_on=state.hartree_on)
+    assert fresh.as_dict() == state.free_energy.as_dict()
+
+
+def test_run_scf_computes_one_density_per_iteration(monkeypatch):
+    calls = []
+    compute = density_matrix.density
+
+    def counted(gamma):
+        calls.append(gamma)
+        return compute(gamma)
+
+    monkeypatch.setattr(density_matrix, "density", counted)
+    monkeypatch.setattr(scf, "density", counted)
+    cfg = RunConfig.from_file("si1d")
+    state = run_scf(
+        cfg.build_basis(), cfg.build_external(), cfg.build_xc(),
+        cfg.build_smearing(), cfg.n_electrons, hartree_on=cfg.hartree_on,
+        mixing=cfg.mixing, mixing_alpha=cfg.mixing_alpha,
+        tol_rho=cfg.tol_rho, tol_f=cfg.tol_f, max_iter=cfg.max_iter,
+        seed=cfg.seed,
+    )
+    # one per map, plus the input and output of the final residual check
+    assert len(calls) == state.iterations + 2
 
 
 def test_hamiltonian_rejects_mismatched_or_complex_potential():
