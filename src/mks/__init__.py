@@ -24,8 +24,7 @@ from .density_matrix import (
     density,
     free_energy,
     project_dm,
-    s11_distance_dense,
-    s11_distance_orbital,
+    s11_distance,
     s11_norm,
 )
 from .harness import fit_decay, quasi_optimality, run_single, run_sweep

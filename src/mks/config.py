@@ -185,7 +185,6 @@ class RunConfig:
         self.sweep_betas = _floats(betas_text) if betas_text.strip() else [self.beta]
         self.quasi_opt_bound = float(p.get("sweep", "quasi_opt_bound", fallback="50"))
         self.timing = _bool(p.get("sweep", "timing", fallback="on"), "timing")
-        self.dense_cap = int(p.get("sweep", "dense_cap", fallback="600"))
 
         self.out_dir = p.get("output", "out_dir", fallback="runs").strip()
 
@@ -241,7 +240,6 @@ class RunConfig:
             "sweep.reference": repr(self.sweep_reference),
             "sweep.betas": repr(self.sweep_betas),
             "sweep.quasi_opt_bound": repr(self.quasi_opt_bound),
-            "sweep.dense_cap": self.dense_cap,
         }
         for key, value in sorted(self.potential_params.items()):
             items[f"potential.{key}"] = repr(value)

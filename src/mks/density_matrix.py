@@ -4,7 +4,9 @@ A state is stored spectrally: orthonormal orbital coefficients (one column
 per retained state) plus occupations in [0, 1].  All trace-class bookkeeping
 (the S^{1,1} norm Tr|A| + Tr(| |grad| A |grad| |), free energies, entropy)
 is evaluated through this representation; operator logarithms are never
-formed.
+formed, and distances between two states come from a small core of their
+difference on the span of both orbital sets, never from a dense
+(npw, npw) matrix.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ __all__ = [
     "DensityMatrix",
     "density",
     "s11_norm",
-    "s11_distance_dense",
-    "s11_distance_orbital",
+    "s11_distance",
     "project_dm",
     "FreeEnergyBreakdown",
     "free_energy",
@@ -29,7 +30,6 @@ __all__ = [
     "rotate",
     "mode_positions",
     "embed_dm",
-    "dense_operator",
 ]
 
 OCC_TOL = 1e-12
@@ -140,58 +140,38 @@ def embed_dm(gamma: DensityMatrix, target: PlaneWaveBasis) -> DensityMatrix:
     )
 
 
-def dense_operator(gamma: DensityMatrix) -> np.ndarray:
-    """Gamma as a dense (basis.size, basis.size) matrix; small bases only."""
-    weighted = gamma.orbitals * gamma.occupations
-    return weighted @ gamma.orbitals.conj().T
+def _difference_core(a_orbitals, a_occupations, b_orbitals, b_occupations):
+    """Small Hermitian core of A - B = Phi diag(f_a, -f_b) Phi*, Phi = [a b].
 
-
-def s11_distance_dense(a: DensityMatrix, b: DensityMatrix,
-                       common: PlaneWaveBasis | None = None) -> float:
-    """S^{1,1} distance via eigendecomposition of the dense difference.
-
-    Both states are embedded in a common basis (the larger of the two by
-    default); Tr|A| and Tr(| |grad| A |grad| |) are the absolute eigenvalue
-    sums of the Hermitian difference and of its |G|-weighted conjugation.
+    With R from a QR of Phi, A - B = Q (R D R*) Q* for orthonormal Q, so the
+    core R D R* has the nonzero spectrum of A - B whether or not the columns
+    of Phi are orthonormal, and also when R is wide (more columns than rows).
     """
-    if common is None:
-        common = a.basis if a.basis.cutoff >= b.basis.cutoff else b.basis
-    a_emb = a if a.basis == common else embed_dm(a, common)
-    b_emb = b if b.basis == common else embed_dm(b, common)
-    diff = dense_operator(a_emb) - dense_operator(b_emb)
-    diff = 0.5 * (diff + diff.conj().T)
-    tr_abs = float(np.abs(np.linalg.eigvalsh(diff)).sum())
-    scale = np.sqrt(common.g_norm2)
-    weighted = diff * scale[:, None] * scale[None, :]
-    tr_grad = float(np.abs(np.linalg.eigvalsh(weighted)).sum())
-    return tr_abs + tr_grad
+    stacked = np.concatenate([a_orbitals, b_orbitals], axis=1)
+    r = np.linalg.qr(stacked, mode="r")
+    d = np.concatenate([a_occupations, -b_occupations])
+    return (r * d) @ r.conj().T
 
 
-def s11_distance_orbital(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Occupation-weighted orbital surrogate sum_i f_i ||phi_i^a - phi_i^b||_H1^2.
+def s11_distance(a: DensityMatrix, b: DensityMatrix) -> float:
+    """S^{1,1} distance Tr|A - B| + Tr(| |grad| (A - B) |grad| |), exact.
 
-    Orbitals are matched by index and phase-aligned by overlap maximization;
-    occupations are taken from ``a``.  Cheap stand-in for the dense distance
-    when the dense eigendecomposition is out of reach.
+    Both states are embedded in the finer of the two bases.  Each trace is
+    the absolute eigenvalue sum of a core of the difference of size at most
+    ma + mb (see ``_difference_core``), the second with every orbital row
+    scaled by |G| first, so the cost is O(npw (ma + mb)^2) and the value
+    does not depend on the basis chosen inside a degenerate eigenspace.
     """
-    if a.basis == b.basis:
-        pa, pb = a.orbitals, b.orbitals
-        g2 = a.basis.g_norm2
-    else:
-        common = a.basis if a.basis.cutoff >= b.basis.cutoff else b.basis
-        pa = embed_dm(a, common).orbitals
-        pb = embed_dm(b, common).orbitals
-        g2 = common.g_norm2
-    m = min(pa.shape[1], pb.shape[1])
-    total = 0.0
-    for i in range(m):
-        ov = np.vdot(pa[:, i], pb[:, i])
-        phase = ov / abs(ov) if abs(ov) > 1e-14 else 1.0
-        d = pa[:, i] - np.conj(phase) * pb[:, i]
-        total += a.occupations[i] * float(
-            np.sum((1.0 + g2) * np.abs(d) ** 2)
-        )
-    return total
+    common = a.basis if a.basis.cutoff >= b.basis.cutoff else b.basis
+    pa = a.orbitals if a.basis == common else embed_dm(a, common).orbitals
+    pb = b.orbitals if b.basis == common else embed_dm(b, common).orbitals
+
+    def trace_abs(left, right):
+        core = _difference_core(left, a.occupations, right, b.occupations)
+        return float(np.abs(np.linalg.eigvalsh(core)).sum())
+
+    scale = np.sqrt(common.g_norm2)[:, None]
+    return trace_abs(pa, pb) + trace_abs(scale * pa, scale * pb)
 
 
 def project_dm(gamma: DensityMatrix, target: PlaneWaveBasis,

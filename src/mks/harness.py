@@ -1,9 +1,9 @@
 """Discretization-convergence harness.
 
 Runs a cutoff sweep against a tightened reference solution, reports per-point
-errors (free energy, density L2, density-matrix S^{1,1}, projection tail),
-fits exponential/algebraic decay models to the error curves, and checks the
-quasi-optimality ratio of the Galerkin solutions.
+errors (free energy, density L2, exact density-matrix S^{1,1}, projection
+tail), fits exponential/algebraic decay models to the error curves, and
+checks the quasi-optimality ratio of the Galerkin solutions.
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ import numpy as np
 
 from .cell import l2_norm, transfer
 from .config import ConfigError, RunConfig
-from .density_matrix import (
-    embed_dm,
-    mode_positions,
-    project_dm,
-    s11_distance_dense,
-    s11_distance_orbital,
-)
+from .density_matrix import embed_dm, mode_positions, project_dm, s11_distance
 from .response import ResponseContext, audit_a4
 from .scf import ScfState, run_scf
 
@@ -101,25 +95,13 @@ def _sweep_inputs(config, cutoffs, reference):
     return cutoffs, reference
 
 
-def _point_errors(config, state, ref):
+def _point_errors(state, ref):
     """Error measures of one swept state against the reference state; the
-    S^{1,1} errors are dense up to ``config.dense_cap`` reference plane waves
-    and orbital surrogates above, as ``gamma_err_method`` records."""
-    ref_basis = ref.basis
-    rho_fine = transfer(state.rho, ref_basis)
-    rho_err = l2_norm(rho_fine - ref.rho)
-
-    dense_ok = ref_basis.size <= config.dense_cap
-    gamma_surrogate = s11_distance_orbital(ref.gamma, state.gamma)
+    S^{1,1} errors are exact distances on the reference basis."""
+    rho_err = l2_norm(transfer(state.rho, ref.basis) - ref.rho)
+    gamma_err = s11_distance(state.gamma, ref.gamma)
     proj = project_dm(ref.gamma, state.basis, orthonormalize=False)
-    if dense_ok:
-        gamma_err = s11_distance_dense(state.gamma, ref.gamma, common=ref_basis)
-        proj_err = s11_distance_dense(proj, ref.gamma, common=ref_basis)
-        method = "dense"
-    else:
-        gamma_err = gamma_surrogate
-        proj_err = s11_distance_orbital(ref.gamma, embed_dm(proj, ref_basis))
-        method = "orbital"
+    proj_err = s11_distance(proj, ref.gamma)
     ratio = gamma_err / proj_err if proj_err > 0 else float("inf")
     return {
         "f_total": state.free_energy.total,
@@ -129,8 +111,6 @@ def _point_errors(config, state, ref):
         "proj_err": proj_err,
         "ratio": ratio,
         "scf_iters": state.iterations,
-        "gamma_s11_surrogate": gamma_surrogate,
-        "gamma_err_method": method,
     }
 
 
@@ -269,7 +249,7 @@ def run_sweep(config: RunConfig, cutoffs=None, reference=None,
         state = run_single(config, cutoff=ec, beta=beta)
         wall = time.perf_counter() - start
         row = {"ec": ec, "wall_s": wall if config.timing else 0.0}
-        row.update(_point_errors(config, state, ref_state))
+        row.update(_point_errors(state, ref_state))
         return row
 
     workers = worker_count()
@@ -313,12 +293,10 @@ def quasi_optimality(config: RunConfig, cutoffs=None, reference=None) -> dict:
     ref_basis = ref.basis
     n_occ = int(round(config.n_electrons))
 
-    ratios, methods, constants = [], [], []
+    ratios, constants = [], []
     for ec in cutoffs:
         state = run_single(config, cutoff=ec)
-        errors = _point_errors(config, state, ref)
-        ratios.append(errors["ratio"])
-        methods.append(errors["gamma_err_method"])
+        ratios.append(_point_errors(state, ref)["ratio"])
 
         pos = mode_positions(state.basis, ref_basis)
         embedded = embed_dm(state.gamma, ref_basis).orbitals
@@ -344,7 +322,6 @@ def quasi_optimality(config: RunConfig, cutoffs=None, reference=None) -> dict:
     return {
         "cutoffs": cutoffs,
         "ratios": ratios,
-        "gamma_err_methods": methods,
         "max_ratio": max_ratio,
         "bound": config.quasi_opt_bound,
         "within_bound": max_ratio <= config.quasi_opt_bound,

@@ -14,7 +14,13 @@ import scipy.linalg
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .cell import GridFunction, PlaneWaveBasis, l2_norm
-from .density_matrix import DensityMatrix, FreeEnergyBreakdown, density, free_energy
+from .density_matrix import (
+    DensityMatrix,
+    FreeEnergyBreakdown,
+    _difference_core,
+    density,
+    free_energy,
+)
 from .potentials import ExternalPotential, XcFunctional, assemble_effective
 from .smearing import Smearing, fermi_dirac, solve_mu
 
@@ -288,10 +294,8 @@ def gamma_overlap_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     matrix whose entries subtract before any large traces accumulate, so
     the value stays accurate down to machine precision even when a ~ b.
     """
-    stacked = np.concatenate([a.orbitals, b.orbitals], axis=1)
-    r = np.linalg.qr(stacked, mode="r")
-    d = np.concatenate([a.occupations, -b.occupations])
-    core = (r * d) @ r.conj().T
+    core = _difference_core(a.orbitals, a.occupations,
+                            b.orbitals, b.occupations)
     return float(np.linalg.norm(core))
 
 

@@ -14,11 +14,14 @@ _STATES = {}
 _DENSE_BARE = weakref.WeakKeyDictionary()
 
 
-def converged_state(name):
-    """Converged SCF state of a bundled benchmark, cached for the session."""
-    if name not in _STATES:
-        _STATES[name] = run_single(RunConfig.from_file(name))
-    return _STATES[name]
+def converged_state(name, cutoff=None, beta=None):
+    """Converged SCF state of a bundled benchmark, at its own cutoff and
+    beta unless overridden, cached for the session."""
+    config = RunConfig.from_file(name)
+    key = (name, cutoff or config.cutoff, beta or config.beta)
+    if key not in _STATES:
+        _STATES[key] = run_single(config, cutoff, beta)
+    return _STATES[key]
 
 
 @pytest.fixture(scope="session")

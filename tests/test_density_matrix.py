@@ -8,11 +8,10 @@ vectorized formulas.
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix
+from conftest import converged_state, random_density_matrix
 from mks.cell import Cell, build_basis, l2_norm
 from mks.density_matrix import (
     DensityMatrix,
-    dense_operator,
     density,
     embed_dm,
     free_energy,
@@ -20,8 +19,7 @@ from mks.density_matrix import (
     perturb,
     project_dm,
     rotate,
-    s11_distance_dense,
-    s11_distance_orbital,
+    s11_distance,
     s11_norm,
 )
 from mks.potentials import ExternalPotential, gaussian_wells, null_xc
@@ -70,54 +68,60 @@ def test_density_matches_orbital_loop(small_basis):
     assert rho.values.min() >= -1e-12
 
 
-def test_dense_operator_matches_projector_sum(small_basis):
-    gamma = random_density_matrix(small_basis, 3, seed=1)
-    np.testing.assert_allclose(
-        dense_operator(gamma), dense_from_projectors(gamma), atol=1e-13
-    )
-
-
 def test_s11_norm_matches_dense_eigensolve(small_basis):
     gamma = random_density_matrix(small_basis, 5, seed=2)
     oracle = s11_of_dense(dense_from_projectors(gamma), small_basis)
     assert s11_norm(gamma) == pytest.approx(oracle, rel=1e-12)
 
 
-def test_s11_distance_dense_matches_oracle(small_basis):
+def test_s11_distance_matches_oracle(small_basis):
     a = random_density_matrix(small_basis, 4, seed=3)
     b = random_density_matrix(small_basis, 3, seed=4)
     diff = dense_from_projectors(a) - dense_from_projectors(b)
     oracle = s11_of_dense(diff, small_basis)
-    assert s11_distance_dense(a, b) == pytest.approx(oracle, rel=1e-12)
+    assert s11_distance(a, b) == pytest.approx(oracle, rel=1e-12)
     # metric axioms on this pair
-    assert s11_distance_dense(a, a) <= 1e-12
-    assert s11_distance_dense(a, b) == pytest.approx(
-        s11_distance_dense(b, a), rel=1e-12
+    assert s11_distance(a, a) <= 1e-12
+    assert s11_distance(a, b) == pytest.approx(
+        s11_distance(b, a), rel=1e-12
     )
 
 
-def test_s11_distance_dense_across_bases(small_basis):
+def test_s11_distance_across_bases(small_basis):
     fine = build_basis(small_basis.cell, 20.0)
     a = random_density_matrix(small_basis, 3, seed=5)
     a_up = embed_dm(a, fine)
     # embedding is isometric, so the cross-basis distance to a fine state
-    # equals the dense distance computed wholly on the fine basis
+    # equals the distance computed wholly on the fine basis
     b = random_density_matrix(fine, 3, seed=6)
-    direct = s11_distance_dense(a, b)
-    lifted = s11_distance_dense(a_up, b)
+    direct = s11_distance(a, b)
+    lifted = s11_distance(a_up, b)
     assert direct == pytest.approx(lifted, rel=1e-12)
-    assert s11_distance_dense(a, a_up) <= 1e-12
+    assert s11_distance(a, a_up) <= 1e-12
 
 
-def test_s11_orbital_surrogate_properties(small_basis):
-    a = random_density_matrix(small_basis, 4, seed=7)
-    assert s11_distance_orbital(a, a) <= 1e-12
-    # per-orbital phases are aligned away
-    phases = np.exp(1j * np.linspace(0.3, 2.1, 4))
-    b = DensityMatrix(small_basis, a.orbitals * phases, a.occupations)
-    assert s11_distance_orbital(a, b) <= 1e-10
-    c = random_density_matrix(small_basis, 4, seed=8, occupations=a.occupations)
-    assert s11_distance_orbital(a, c) > 0.0
+# (config, swept cutoff, reference cutoff, beta); tiny3d at beta 2 uses up
+# both bases, so the stacked orbitals outnumber the reference plane waves
+SWEPT_PAIRS = [
+    ("si1d", 12.0, 40.0, None),
+    ("tiny3d", 2.0, 4.0, 20.0),
+    ("tiny3d", 2.0, 4.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("name, cutoff, reference, beta", SWEPT_PAIRS)
+def test_s11_distance_matches_oracle_on_swept_states(name, cutoff, reference,
+                                                     beta):
+    swept = converged_state(name, cutoff=cutoff, beta=beta).gamma
+    ref = converged_state(name, cutoff=reference, beta=beta).gamma
+    proj = project_dm(ref, swept.basis, orthonormalize=False)
+    if beta == 2.0:
+        assert swept.n_states + ref.n_states > ref.basis.size
+    target = dense_from_projectors(ref)
+    for state in (swept, proj):
+        lifted = dense_from_projectors(embed_dm(state, ref.basis))
+        oracle = s11_of_dense(lifted - target, ref.basis)
+        assert s11_distance(state, ref) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_embed_preserves_density_and_norm(small_basis):
@@ -188,7 +192,7 @@ def test_perturb_two_by_two_closed_form(small_basis):
     target = gamma.orbitals @ (
         np.diag([0.7, 0.3]).astype(complex) + eps * sigma_x
     ) @ gamma.orbitals.conj().T
-    np.testing.assert_allclose(dense_operator(out), target, atol=1e-12)
+    np.testing.assert_allclose(dense_from_projectors(out), target, atol=1e-12)
 
 
 def test_perturb_validates_tangent_shape(small_basis):
@@ -204,7 +208,7 @@ def test_rotate_preserves_spectrum(small_basis):
     a = raw - raw.conj().T
     rotated = rotate(gamma, a, 0.4)
     np.testing.assert_array_equal(rotated.occupations, gamma.occupations)
-    eigs = np.linalg.eigvalsh(dense_operator(rotated))
+    eigs = np.linalg.eigvalsh(dense_from_projectors(rotated))
     keep = eigs[np.argsort(-np.abs(eigs))[:3]]
     np.testing.assert_allclose(
         np.sort(keep), np.sort(gamma.occupations), atol=1e-12

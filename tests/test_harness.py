@@ -4,14 +4,19 @@ The noninteracting benchmark admits a closed smeared-sum free energy at
 every cutoff, which pins each sweep row independently of the SCF loop.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from scipy.special import xlogy
 
+from conftest import converged_state
 from mks.config import ConfigError, RunConfig
+from mks.density_matrix import DensityMatrix, s11_distance
 from mks.harness import (
     CSV_COLUMNS,
     SweepResult,
+    _point_errors,
     fit_decay,
     quasi_optimality,
     run_single,
@@ -132,7 +137,6 @@ def test_sweep_rows_match_closed_form(free1d_sweep):
         assert row["f_total"] == pytest.approx(exact, abs=1e-12)
         assert row["f_err"] == pytest.approx(abs(exact - f_ref), abs=1e-12)
         assert row["rho_l2_err"] <= 1e-10
-        assert row["gamma_err_method"] == "dense"
         assert np.isfinite(row["gamma_s11_err"])
         assert row["scf_iters"] <= 3
 
@@ -232,7 +236,6 @@ def test_quasi_optimality_small_interacting_chain():
     assert all(np.isfinite(c) for c in report["orbital_constants"])
     assert isinstance(report["trend_ok"], bool)
     assert report["passed"] == (report["within_bound"] and report["trend_ok"])
-    assert report["gamma_err_methods"] == ["dense"] * 3
 
 
 def test_quasi_optimality_matches_sweep_ratios():
@@ -240,9 +243,41 @@ def test_quasi_optimality_matches_sweep_ratios():
     report = quasi_optimality(cfg, cutoffs=[2.0, 3.0, 4.0], reference=8.0)
     sweep = run_sweep(cfg, cutoffs=[2.0, 3.0, 4.0], reference=8.0, beta=cfg.beta)
     assert report["ratios"] == [row["ratio"] for row in sweep.rows]
-    assert report["gamma_err_methods"] == [
-        row["gamma_err_method"] for row in sweep.rows
-    ]
+
+
+def rotate_triplet(state, seed):
+    """Copy of a tiny3d state with its degenerate triplet, orbitals 2-4 of
+    the cubic well, mixed by a seeded random unitary: the same Gamma."""
+    gamma = state.gamma
+    assert np.ptp(gamma.eigenvalues[2:5]) <= 1e-12
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    unitary, _ = np.linalg.qr(raw)
+    orbitals = gamma.orbitals.copy()
+    orbitals[:, 2:5] = orbitals[:, 2:5] @ unitary
+    rotated = copy.copy(state)
+    rotated.gamma = DensityMatrix(gamma.basis, orbitals, gamma.occupations,
+                                  gamma.eigenvalues)
+    return rotated
+
+
+def test_point_errors_ignore_the_basis_of_a_degenerate_eigenspace():
+    # an error that matches orbitals by index moves under such a rotation
+    ref = converged_state("tiny3d")
+    swept = converged_state("tiny3d", cutoff=2.0)
+    assert ref.gamma.n_states == 27
+    assert ref.gamma.occupations[2] == pytest.approx(0.0334, abs=1e-4)
+    expected = _point_errors(swept, ref)
+    for pair in ((rotate_triplet(swept, 0), ref),
+                 (swept, rotate_triplet(ref, 1))):
+        errors = _point_errors(*pair)
+        assert errors.keys() == expected.keys()
+        for key, value in expected.items():
+            np.testing.assert_allclose(errors[key], value, rtol=1e-12, atol=0,
+                                       err_msg=key)
+    for state in (swept, ref):
+        rotated = rotate_triplet(state, 2).gamma
+        assert s11_distance(rotated, state.gamma) <= 1e-12
 
 
 def test_quasi_optimality_validates_reference():

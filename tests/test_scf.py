@@ -5,10 +5,11 @@ import pytest
 import scipy.linalg
 
 from conftest import converged_state, random_density_matrix
+from test_density_matrix import dense_from_projectors
 from mks import density_matrix, scf
 from mks.cell import Cell, GridFunction, build_basis, l2_norm
 from mks.config import RunConfig
-from mks.density_matrix import dense_operator, free_energy, perturb, rotate
+from mks.density_matrix import free_energy, perturb, rotate
 from mks.potentials import (
     ExternalPotential,
     assemble_effective,
@@ -468,7 +469,8 @@ def test_gamma_overlap_distance_matches_dense():
     basis = build_basis(Cell(10.0), 5.0)
     a = random_density_matrix(basis, 4, seed=30)
     b = random_density_matrix(basis, 3, seed=31)
-    oracle = float(np.linalg.norm(dense_operator(a) - dense_operator(b)))
+    diff = dense_from_projectors(a) - dense_from_projectors(b)
+    oracle = float(np.linalg.norm(diff))
     assert gamma_overlap_distance(a, b) == pytest.approx(oracle, rel=1e-12)
     assert gamma_overlap_distance(a, a) <= 1e-14
 
