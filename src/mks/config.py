@@ -169,7 +169,6 @@ class RunConfig:
         self.tol_rho = float(p.get("scf", "tol_rho", fallback="1e-8"))
         self.tol_f = float(p.get("scf", "tol_f", fallback="1e-10"))
         self.max_iter = int(p.get("scf", "max_iter", fallback="200"))
-        self.seed = int(p.get("scf", "seed", fallback="0"))
         if not 0.0 < self.mixing_alpha <= 1.0:
             raise ConfigError(f"{self.origin}: alpha must lie in (0, 1]")
 
@@ -234,7 +233,6 @@ class RunConfig:
             "scf.tol_rho": repr(self.tol_rho),
             "scf.tol_f": repr(self.tol_f),
             "scf.max_iter": self.max_iter,
-            "scf.seed": self.seed,
             "response.g_sign": self.g_sign,
             "sweep.cutoffs": repr(self.sweep_cutoffs),
             "sweep.reference": repr(self.sweep_reference),

@@ -174,39 +174,18 @@ def s11_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     return trace_abs(pa, pb) + trace_abs(scale * pa, scale * pb)
 
 
-def project_dm(gamma: DensityMatrix, target: PlaneWaveBasis,
-               orthonormalize=False) -> DensityMatrix:
-    """Truncate every orbital to the target basis, keeping occupations.
+def project_dm(gamma: DensityMatrix, target: PlaneWaveBasis) -> DensityMatrix:
+    """Pi_n Gamma = sum f_i |pi_n phi_i><pi_n phi_i|, keeping occupations.
 
-    With ``orthonormalize=False`` this is Pi_n Gamma = sum f_i
-    |pi_n phi_i><pi_n phi_i| (truncated orbitals are not re-normalized, for
-    error fidelity); orbitals annihilated by the truncation are dropped, so
-    their occupation weight shows up as pure projection error.  With
-    ``orthonormalize=True`` the truncated orbitals are symmetrically
-    (Loewdin) re-orthonormalized, and annihilation raises because the
-    orthonormalization is rank-deficient.
+    Truncated orbitals are not re-normalized, for error fidelity; orbitals
+    annihilated by the truncation are dropped, so their occupation weight
+    shows up as pure projection error.
     """
     if target.cutoff > gamma.basis.cutoff:
         raise ValueError("projection target must be the coarser basis")
     pos = mode_positions(target, gamma.basis)
     truncated = gamma.orbitals[pos]
     norms = np.linalg.norm(truncated, axis=0)
-    if orthonormalize:
-        occupied = gamma.occupations > OCC_TOL
-        if np.any(norms[occupied] <= ANNIHILATION_TOL):
-            worst = int(np.argmin(np.where(occupied, norms, np.inf)))
-            raise ValueError(
-                f"projection annihilates occupied orbital {worst} "
-                f"(norm {norms[worst]:.3e})"
-            )
-        overlap = truncated.conj().T @ truncated
-        vals, vecs = np.linalg.eigh(overlap)
-        if vals.min() <= ANNIHILATION_TOL:
-            raise ValueError("truncated orbitals are numerically dependent")
-        inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
-        truncated = truncated @ inv_sqrt
-        return DensityMatrix(target, truncated, gamma.occupations,
-                             gamma.eigenvalues, validate=True)
     keep = norms > ANNIHILATION_TOL
     eig = gamma.eigenvalues[keep] if gamma.eigenvalues is not None else None
     return DensityMatrix(target, truncated[:, keep], gamma.occupations[keep],

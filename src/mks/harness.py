@@ -75,7 +75,6 @@ def run_single(config: RunConfig, cutoff=None, beta=None,
         tol_rho=config.tol_rho * tighten,
         tol_f=config.tol_f * tighten,
         max_iter=max_iter,
-        seed=config.seed,
     )
 
 
@@ -100,7 +99,7 @@ def _point_errors(state, ref):
     S^{1,1} errors are exact distances on the reference basis."""
     rho_err = l2_norm(transfer(state.rho, ref.basis) - ref.rho)
     gamma_err = s11_distance(state.gamma, ref.gamma)
-    proj = project_dm(ref.gamma, state.basis, orthonormalize=False)
+    proj = project_dm(ref.gamma, state.basis)
     proj_err = s11_distance(proj, ref.gamma)
     ratio = gamma_err / proj_err if proj_err > 0 else float("inf")
     return {

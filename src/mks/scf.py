@@ -4,7 +4,7 @@ The discrete problem is a fixed point of rho -> density(f_mu(H(rho))) with
 the chemical potential mu always re-solved so that the occupation sum equals
 the electron count.  Eigenpairs come from a dense solver on small bases and
 from a preconditioned block-iterative solver (LOBPCG) above a size
-threshold; both paths are deterministic for a fixed seed.
+threshold.
 """
 
 from __future__ import annotations
@@ -37,10 +37,13 @@ __all__ = [
     "gamma_overlap_distance",
 ]
 
-DENSE_LIMIT = 512
+# a full tiny3d SCF on 2 cores is faster dense at 3119 plane waves and
+# faster on LOBPCG at 3743 (the table is in CHANGES.md)
+DENSE_LIMIT = 3119
 OCC_TAIL = 1e-12
 STATE_BUFFER = 8
 RESIDUAL_TOL = 1e-8
+LOBPCG_SEED = 7
 
 
 class EigensolverError(RuntimeError):
@@ -126,27 +129,22 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return vecs * scale
 
 
-def lowest_eigenpairs(ham: Hamiltonian, m: int, seed: int = 0,
-                      force: str | None = None, residual_tol: float = RESIDUAL_TOL):
-    """Lowest m eigenpairs of H, ascending, with residuals below tolerance.
+def lowest_eigenpairs(ham: Hamiltonian, m: int):
+    """Lowest m eigenpairs of H, ascending, with residuals below RESIDUAL_TOL.
 
-    ``force`` pins the path to "dense" or "iterative" (used by the
-    cross-validation tests); by default bases up to DENSE_LIMIT plane waves
-    are solved densely.
+    Bases up to DENSE_LIMIT plane waves are solved densely, and so is any
+    block wider than a fifth of the basis; larger bases go to LOBPCG from
+    a fixed random start block.
     """
     basis = ham.basis
     if not 0 < m <= basis.size:
         raise ValueError(f"need 1 <= m <= {basis.size}, got {m}")
-    path = force
-    if path is None:
-        path = "dense" if basis.size <= DENSE_LIMIT else "iterative"
-    if path == "iterative" and (m > basis.size // 5 or m < 2):
+    if basis.size <= DENSE_LIMIT or m > basis.size // 5 or m < 2:
         path = "dense"
-
-    if path == "dense":
         vals, vecs = scipy.linalg.eigh(ham.dense(), subset_by_index=[0, m - 1])
-    elif path == "iterative":
-        rng = np.random.default_rng(seed + 7)
+    else:
+        path = "iterative"
+        rng = np.random.default_rng(LOBPCG_SEED)
         x0 = rng.standard_normal((basis.size, m)) + 1j * rng.standard_normal(
             (basis.size, m)
         )
@@ -162,18 +160,16 @@ def lowest_eigenpairs(ham: Hamiltonian, m: int, seed: int = 0,
             x0,
             M=ham.diagonal_preconditioner(shift),
             largest=False,
-            tol=residual_tol * 1e-2,
+            tol=RESIDUAL_TOL * 1e-2,
             maxiter=600,
         )
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-    else:
-        raise ValueError(f"unknown eigensolver path {force!r}")
 
     resid = ham.apply(vecs) - vecs * vals
     worst = float(np.linalg.norm(resid, axis=0).max())
     scale = max(1.0, float(np.abs(vals).max()))
-    if worst > residual_tol * scale:
+    if worst > RESIDUAL_TOL * scale:
         raise EigensolverError(
             f"eigensolver residual {worst:.3e} above tolerance on path {path}"
         )
@@ -182,7 +178,7 @@ def lowest_eigenpairs(ham: Hamiltonian, m: int, seed: int = 0,
 
 def fixed_point_map(rho_in: GridFunction, external: ExternalPotential,
                     xc: XcFunctional, smearing: Smearing, n_electrons: float,
-                    hartree_on=True, n_states: int | None = None, seed: int = 0):
+                    hartree_on=True, n_states: int | None = None):
     """One application of the Kohn-Sham map rho -> rho(f_mu(H(rho))).
 
     The number of computed eigenpairs grows until the occupation of the
@@ -201,7 +197,7 @@ def fixed_point_map(rho_in: GridFunction, external: ExternalPotential,
     m = max(m, int(np.floor(n_electrons)) + 1)
     m = min(m, basis.size)
     while True:
-        vals, vecs = lowest_eigenpairs(ham, m, seed=seed)
+        vals, vecs = lowest_eigenpairs(ham, m)
         mu = solve_mu(vals, n_electrons, smearing)
         tail = float(fermi_dirac(vals[-1], mu, smearing))
         if tail < OCC_TAIL or m == basis.size:
@@ -219,16 +215,11 @@ def fixed_point_map(rho_in: GridFunction, external: ExternalPotential,
     return gamma, mu, density(gamma)
 
 
-class _DampingMixer:
-    def __init__(self, alpha):
-        self.alpha = alpha
-
-    def step(self, rho_in, rho_out):
-        return rho_in + self.alpha * (rho_out - rho_in)
-
-
 class _AndersonMixer:
-    """Anderson acceleration over density iterates (window of past pairs)."""
+    """Anderson acceleration over density iterates (window of past pairs).
+
+    A window of one pair is plain damping, rho_in + alpha (rho_out - rho_in).
+    """
 
     def __init__(self, alpha, window=5):
         self.alpha = alpha
@@ -299,7 +290,7 @@ def gamma_overlap_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     return float(np.linalg.norm(core))
 
 
-def fixed_point_residual(state: ScfState, seed: int = 0) -> float:
+def fixed_point_residual(state: ScfState) -> float:
     """||f_mu(H(rho_Gamma)) - Gamma||_F at the converged density."""
     gamma = state.gamma
     out, _, _ = fixed_point_map(
@@ -310,7 +301,6 @@ def fixed_point_residual(state: ScfState, seed: int = 0) -> float:
         state.n_electrons,
         hartree_on=state.hartree_on,
         n_states=gamma.n_states,
-        seed=seed,
     )
     return gamma_overlap_distance(out, gamma)
 
@@ -319,7 +309,7 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
             xc: XcFunctional, smearing: Smearing, n_electrons: float,
             hartree_on=True, mixing="damping", mixing_alpha=0.5,
             anderson_window=5, tol_rho=1e-8, tol_f=1e-10, max_iter=200,
-            seed: int = 0, raise_on_failure=True,
+            raise_on_failure=True,
             initial_rho: GridFunction | None = None) -> ScfState:
     """Damped (optionally Anderson-accelerated) self-consistent field loop.
 
@@ -333,7 +323,7 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
     if n_electrons <= 0:
         raise ValueError("n_electrons must be positive")
     if mixing == "damping":
-        mixer = _DampingMixer(mixing_alpha)
+        mixer = _AndersonMixer(mixing_alpha, window=1)
     elif mixing == "anderson":
         mixer = _AndersonMixer(mixing_alpha, anderson_window)
     else:
@@ -356,7 +346,7 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
     for it in range(1, max_iter + 1):
         gamma, mu, rho_out = fixed_point_map(
             rho_in, external, xc, smearing, n_electrons,
-            hartree_on=hartree_on, n_states=n_states, seed=seed,
+            hartree_on=hartree_on, n_states=n_states,
         )
         n_states = gamma.n_states
         breakdown = free_energy(gamma, external, xc, smearing,
@@ -395,7 +385,7 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
             f"no convergence in {max_iter} iterations "
             f"(density residual {delta:.3e}, F {breakdown.total:.12g})"
         )
-    state.residual_fixedpoint = fixed_point_residual(state, seed=seed)
+    state.residual_fixedpoint = fixed_point_residual(state)
     return state
 
 

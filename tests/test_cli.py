@@ -1,6 +1,7 @@
 """End-to-end command-line runs, in-process via main() plus the console script
 in a subprocess."""
 
+import configparser
 import json
 import os
 import shutil
@@ -15,7 +16,7 @@ import pytest
 
 import mks
 from mks.cli import main
-from mks.config import bundled_config_path
+from mks.config import RunConfig, bundled_config_path
 from mks.io import load_density_matrix
 
 
@@ -207,6 +208,18 @@ def test_missing_config_key_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "missing [system] n_electrons" in err
+
+
+@pytest.mark.parametrize("name", ["free1d", "si1d", "rhf1d", "tiny3d"])
+def test_bundled_config_has_no_dead_keys(name):
+    # every key a shipped file sets reaches the run's identity, except the
+    # two that change where and how results are written, not what they are
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.read_string(bundled_config_path(name).read_text())
+    written = {f"{section}.{key}" for section in parser.sections()
+               for key in parser[section]}
+    used = {key for key, _ in RunConfig.from_file(name).effective_items()}
+    assert written - used <= {"sweep.timing", "output.out_dir"}
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):

@@ -5,6 +5,8 @@ The chi oracle rebuilds the induced potential by direct quadrature sums
 occupation function of its full spectrum at fixed chemical potential.
 """
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -446,8 +448,12 @@ def test_audit_spectrum_equals_nonsymmetric_eigenvalues(name):
     assert 0 < report["operator_applications"] < dim
 
 
-def test_audit_is_deterministic(ctx_tiny3d):
-    assert audit_a4(ctx_tiny3d) == audit_a4(ctx_tiny3d)
+@pytest.mark.parametrize("name, repeats", [("free1d", 100), ("tiny3d", 2)])
+def test_audit_is_deterministic(name, repeats, request):
+    # free1d has B = 0, so A = I: a Krylov method breaks down at once there
+    ctx = request.getfixturevalue(f"ctx_{name}")
+    reports = {json.dumps(audit_a4(ctx), sort_keys=True) for _ in range(repeats)}
+    assert len(reports) == 1
 
 
 def test_solve_jacobian_matches_dense_lu_oracle(ctx_si1d):

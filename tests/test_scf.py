@@ -110,7 +110,7 @@ def test_dense_partial_eigensolve_matches_full_eigh(name):
         if full_vals[m] - full_vals[m - 1] > 1e-6
     )
     for m in (1, m_gap, size):
-        vals, vecs = lowest_eigenpairs(ham, m, force="dense")
+        vals, vecs = lowest_eigenpairs(ham, m)
         assert vals.shape == (m,)
         assert np.abs(vals - full_vals[:m]).max() <= tol
         if m == 1:
@@ -170,7 +170,6 @@ def test_run_scf_computes_one_density_per_iteration(monkeypatch):
         cfg.build_smearing(), cfg.n_electrons, hartree_on=cfg.hartree_on,
         mixing=cfg.mixing, mixing_alpha=cfg.mixing_alpha,
         tol_rho=cfg.tol_rho, tol_f=cfg.tol_f, max_iter=cfg.max_iter,
-        seed=cfg.seed,
     )
     # one per map, plus the input and output of the final residual check
     assert len(calls) == state.iterations + 2
@@ -204,12 +203,22 @@ def test_lowest_eigenpairs_free_particle_exact():
     np.testing.assert_allclose(overlap, np.eye(7), atol=1e-12)
 
 
-def test_lowest_eigenpairs_iterative_matches_dense():
+def test_lowest_eigenpairs_iterative_matches_dense(monkeypatch):
     basis = build_basis(Cell(10.0), 60.0)
     v = gaussian_wells([[3.0], [7.0]], [-2.5, -1.5], [0.6, 0.8]).evaluate(basis)
     ham = Hamiltonian(basis, v)
-    vals_d, _ = lowest_eigenpairs(ham, 6, force="dense")
-    vals_i, vecs_i = lowest_eigenpairs(ham, 6, force="iterative", seed=1)
+    vals_d, _ = lowest_eigenpairs(ham, 6)
+    calls = []
+    solve = scf.lobpcg
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scf, "DENSE_LIMIT", 0)
+    monkeypatch.setattr(scf, "lobpcg", spy)
+    vals_i, vecs_i = lowest_eigenpairs(ham, 6)
+    assert len(calls) == 1
     np.testing.assert_allclose(vals_i, vals_d, atol=1e-8)
     resid = ham.apply(vecs_i) - vecs_i * vals_i
     assert np.linalg.norm(resid, axis=0).max() < 1e-8 * max(1.0, np.abs(vals_d).max())
@@ -222,8 +231,6 @@ def test_lowest_eigenpairs_validation():
         lowest_eigenpairs(ham, 0)
     with pytest.raises(ValueError):
         lowest_eigenpairs(ham, basis.size + 1)
-    with pytest.raises(ValueError):
-        lowest_eigenpairs(ham, 3, force="magic")
 
 
 def test_fixed_point_map_trace_and_density():
@@ -348,7 +355,7 @@ def test_scf_is_idempotent_from_converged_density():
         state.basis, state.external, state.xc, state.smearing,
         cfg.n_electrons, hartree_on=cfg.hartree_on, mixing=cfg.mixing,
         mixing_alpha=cfg.mixing_alpha, anderson_window=cfg.anderson_window,
-        tol_rho=cfg.tol_rho, tol_f=cfg.tol_f, max_iter=50, seed=cfg.seed,
+        tol_rho=cfg.tol_rho, tol_f=cfg.tol_f, max_iter=50,
         initial_rho=state.rho,
     )
     assert abs(restart.free_energy.total - state.free_energy.total) <= 1e-10
@@ -372,7 +379,7 @@ def test_scf_failure_paths():
     kwargs = dict(
         hartree_on=cfg.hartree_on, mixing=cfg.mixing,
         mixing_alpha=cfg.mixing_alpha, anderson_window=cfg.anderson_window,
-        tol_rho=cfg.tol_rho, tol_f=cfg.tol_f, max_iter=3, seed=cfg.seed,
+        tol_rho=cfg.tol_rho, tol_f=cfg.tol_f, max_iter=3,
     )
     with pytest.raises(ScfError, match="no convergence"):
         run_scf(basis, cfg.build_external(), cfg.build_xc(),
