@@ -75,6 +75,13 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _cutoff_list(args):
+    try:
+        return [float(c) for c in args.cutoffs.split(",")] if args.cutoffs else None
+    except ValueError:
+        raise ConfigError(f"--cutoffs {args.cutoffs!r}: expected numbers") from None
+
+
 def _beta_tag(beta: float) -> str:
     return f"{beta:g}".replace(".", "p").replace("-", "m")
 
@@ -128,8 +135,8 @@ def _cmd_scf(args, config) -> int:
 
 
 def _cmd_sweep(args, config) -> int:
+    cutoffs = _cutoff_list(args)
     out = _out_dir(args, config)
-    cutoffs = [float(c) for c in args.cutoffs.split(",")] if args.cutoffs else None
     summaries = []
     failure = None
     for beta in config.sweep_betas:
@@ -196,8 +203,8 @@ def _cmd_audit_xc(args, config) -> int:
 
 
 def _cmd_quasi_opt(args, config) -> int:
+    cutoffs = _cutoff_list(args)
     out = _out_dir(args, config)
-    cutoffs = [float(c) for c in args.cutoffs.split(",")] if args.cutoffs else None
     result = quasi_optimality(config, cutoffs=cutoffs, reference=args.reference)
     _write_json(os.path.join(out, "quasi_opt.json"), result)
     if args.json:

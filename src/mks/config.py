@@ -3,7 +3,8 @@
 A config file is INI-style; every physical and numerical choice of a run
 lives here so that runs are reproducible from the file alone.  Bundled
 benchmark configurations (free1d, si1d, rhf1d, tiny3d) resolve by bare
-name.  See the shipped .cfg files for the full key reference.
+name.  See the shipped .cfg files for the full key reference; a key the
+loader does not read is an error.
 """
 
 from __future__ import annotations
@@ -65,12 +66,21 @@ class RunConfig:
 
     def __init__(self, parser: configparser.ConfigParser, origin="<memory>"):
         self.origin = str(origin)
+        self._read = set()
         try:
             self._load(parser)
         except ConfigError:
             raise
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"{origin}: {exc}") from exc
+        unknown = [
+            f"{section}.{key}"
+            for section in parser.sections()
+            for key in parser.options(section)
+            if (section, key) not in self._read
+        ]
+        if unknown:
+            raise ConfigError(f"{origin}: unknown keys {', '.join(unknown)}")
 
     # -- construction ------------------------------------------------------
 
@@ -99,16 +109,19 @@ class RunConfig:
             raise ConfigError(f"cannot parse config: {exc}") from exc
         return cls(parser, origin=origin)
 
-    def _require(self, parser, section, key):
-        if not parser.has_option(section, key):
+    def _get(self, parser, section, key, fallback=None):
+        """[section] key, required when there is no fallback; every key
+        asked for is recorded, and whatever else a file holds is unknown."""
+        self._read.add((section, key))
+        if fallback is None and not parser.has_option(section, key):
             raise ConfigError(f"{self.origin}: missing [{section}] {key}")
-        return parser.get(section, key)
+        return parser.get(section, key, fallback=fallback)
 
     def _load(self, p: configparser.ConfigParser):
-        dim = int(self._require(p, "cell", "dimension"))
+        dim = int(self._get(p, "cell", "dimension"))
         if dim not in (1, 2, 3):
             raise ConfigError(f"{self.origin}: dimension must be 1, 2 or 3")
-        lattice_text = self._require(p, "cell", "lattice")
+        lattice_text = self._get(p, "cell", "lattice")
         if ";" in lattice_text:
             lattice = np.array(_vectors(lattice_text))
         else:
@@ -124,9 +137,9 @@ class RunConfig:
         self.dimension = dim
         self.lattice = lattice
 
-        self.n_electrons = float(self._require(p, "system", "n_electrons"))
-        self.beta = float(self._require(p, "system", "beta"))
-        self.cutoff = float(self._require(p, "system", "cutoff"))
+        self.n_electrons = float(self._get(p, "system", "n_electrons"))
+        self.beta = float(self._get(p, "system", "beta"))
+        self.cutoff = float(self._get(p, "system", "cutoff"))
         if self.n_electrons <= 0:
             raise ConfigError(f"{self.origin}: n_electrons must be positive")
         if self.beta <= 0:
@@ -134,58 +147,54 @@ class RunConfig:
         if self.cutoff <= 0:
             raise ConfigError(f"{self.origin}: cutoff must be positive")
 
-        kind = p.get("potential", "kind", fallback="zero").strip()
+        kind = self._get(p, "potential", "kind", "zero").strip()
         if kind == "zero":
             self.potential_params = {"kind": "zero"}
         elif kind == "gaussian_wells":
             self.potential_params = {
                 "kind": kind,
-                "centers": _vectors(self._require(p, "potential", "centers")),
-                "depths": _floats(self._require(p, "potential", "depths")),
-                "widths": _floats(self._require(p, "potential", "widths")),
+                "centers": _vectors(self._get(p, "potential", "centers")),
+                "depths": _floats(self._get(p, "potential", "depths")),
+                "widths": _floats(self._get(p, "potential", "widths")),
             }
         elif kind == "cosine_series":
             self.potential_params = {
                 "kind": kind,
                 "modes": [
                     [int(c) for c in row]
-                    for row in _vectors(self._require(p, "potential", "modes"))
+                    for row in _vectors(self._get(p, "potential", "modes"))
                 ],
-                "amplitudes": _floats(self._require(p, "potential", "amplitudes")),
+                "amplitudes": _floats(self._get(p, "potential", "amplitudes")),
             }
         else:
             raise ConfigError(f"{self.origin}: unknown potential kind {kind!r}")
 
-        self.xc_name = p.get("xc", "functional", fallback="dirac").strip()
+        self.xc_name = self._get(p, "xc", "functional", "dirac").strip()
         if self.xc_name not in ("dirac", "dirac+corr", "none"):
             raise ConfigError(f"{self.origin}: unknown xc functional {self.xc_name!r}")
-        self.hartree_on = _bool(p.get("xc", "hartree", fallback="on"), "hartree")
+        self.hartree_on = _bool(self._get(p, "xc", "hartree", "on"), "hartree")
 
-        self.mixing = p.get("scf", "mixing", fallback="damping").strip()
+        self.mixing = self._get(p, "scf", "mixing", "damping").strip()
         if self.mixing not in ("damping", "anderson"):
             raise ConfigError(f"{self.origin}: unknown mixing {self.mixing!r}")
-        self.mixing_alpha = float(p.get("scf", "alpha", fallback="0.5"))
-        self.anderson_window = int(p.get("scf", "anderson_window", fallback="5"))
-        self.tol_rho = float(p.get("scf", "tol_rho", fallback="1e-8"))
-        self.tol_f = float(p.get("scf", "tol_f", fallback="1e-10"))
-        self.max_iter = int(p.get("scf", "max_iter", fallback="200"))
-        if not 0.0 < self.mixing_alpha <= 1.0:
-            raise ConfigError(f"{self.origin}: alpha must lie in (0, 1]")
+        self.tol_rho = float(self._get(p, "scf", "tol_rho", "1e-8"))
+        self.tol_f = float(self._get(p, "scf", "tol_f", "1e-10"))
+        self.max_iter = int(self._get(p, "scf", "max_iter", "200"))
 
-        self.g_sign = p.get("response", "g_sign", fallback="paper").strip()
+        self.g_sign = self._get(p, "response", "g_sign", "paper").strip()
         if self.g_sign not in ("paper", "analytic"):
             raise ConfigError(f"{self.origin}: g_sign must be paper or analytic")
 
-        cut_text = p.get("sweep", "cutoffs", fallback="")
+        cut_text = self._get(p, "sweep", "cutoffs", "")
         self.sweep_cutoffs = _floats(cut_text) if cut_text.strip() else []
-        ref_text = p.get("sweep", "reference", fallback="")
+        ref_text = self._get(p, "sweep", "reference", "")
         self.sweep_reference = float(ref_text) if ref_text.strip() else None
-        betas_text = p.get("sweep", "betas", fallback="")
+        betas_text = self._get(p, "sweep", "betas", "")
         self.sweep_betas = _floats(betas_text) if betas_text.strip() else [self.beta]
-        self.quasi_opt_bound = float(p.get("sweep", "quasi_opt_bound", fallback="50"))
-        self.timing = _bool(p.get("sweep", "timing", fallback="on"), "timing")
+        self.quasi_opt_bound = float(self._get(p, "sweep", "quasi_opt_bound", "50"))
+        self.timing = _bool(self._get(p, "sweep", "timing", "on"), "timing")
 
-        self.out_dir = p.get("output", "out_dir", fallback="runs").strip()
+        self.out_dir = self._get(p, "output", "out_dir", "runs").strip()
 
     # -- factories ----------------------------------------------------------
 
@@ -228,8 +237,6 @@ class RunConfig:
             "xc.functional": self.xc_name,
             "xc.hartree": self.hartree_on,
             "scf.mixing": self.mixing,
-            "scf.alpha": repr(self.mixing_alpha),
-            "scf.anderson_window": self.anderson_window,
             "scf.tol_rho": repr(self.tol_rho),
             "scf.tol_f": repr(self.tol_f),
             "scf.max_iter": self.max_iter,

@@ -8,8 +8,7 @@ checks the quasi-optimality ratio of the Galerkin solutions.
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
+import math
 import time
 
 import numpy as np
@@ -22,7 +21,6 @@ from .scf import ScfState, run_scf
 
 __all__ = [
     "CSV_COLUMNS",
-    "worker_count",
     "run_single",
     "run_sweep",
     "SweepResult",
@@ -43,16 +41,6 @@ CSV_COLUMNS = [
 ]
 
 
-def worker_count() -> int:
-    """Sweep-point parallelism, capped by the MKS_THREADS environment variable."""
-    raw = os.environ.get("MKS_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"MKS_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
 def run_single(config: RunConfig, cutoff=None, beta=None,
                tighten: float = 1.0) -> ScfState:
     """One SCF solve for the configured model at the given cutoff and beta.
@@ -70,8 +58,6 @@ def run_single(config: RunConfig, cutoff=None, beta=None,
         config.n_electrons,
         hartree_on=config.hartree_on,
         mixing=config.mixing,
-        mixing_alpha=config.mixing_alpha,
-        anderson_window=config.anderson_window,
         tol_rho=config.tol_rho * tighten,
         tol_f=config.tol_f * tighten,
         max_iter=max_iter,
@@ -83,9 +69,12 @@ def _sweep_inputs(config, cutoffs, reference):
     cutoffs = sorted(float(c) for c in (cutoffs or config.sweep_cutoffs))
     if not cutoffs:
         raise ConfigError("sweep requires a cutoff list")
-    reference = float(reference or config.sweep_reference or 0.0)
-    if reference <= 0.0:
+    reference = config.sweep_reference if reference is None else float(reference)
+    if reference is None:
         raise ConfigError("sweep requires a reference cutoff")
+    for value in (*cutoffs, reference):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"cutoffs must be positive and finite, got {value:g}")
     if reference < 2.0 * max(cutoffs):
         raise ConfigError(
             f"reference cutoff {reference:g} must be at least twice the "
@@ -235,29 +224,21 @@ def run_sweep(config: RunConfig, cutoffs=None, reference=None,
     """Cutoff sweep against a tightened reference solve.
 
     The reference cutoff must be at least twice the largest swept cutoff;
-    sweep points may run in parallel (MKS_THREADS), results are ordered by
-    cutoff either way.
+    rows come out in cutoff order.
     """
     cutoffs, reference = _sweep_inputs(config, cutoffs, reference)
     beta = float(beta if beta is not None else config.beta)
 
     ref_state = run_single(config, cutoff=reference, beta=beta, tighten=0.1)
 
-    def solve_point(ec):
+    rows = []
+    for ec in cutoffs:
         start = time.perf_counter()
         state = run_single(config, cutoff=ec, beta=beta)
         wall = time.perf_counter() - start
         row = {"ec": ec, "wall_s": wall if config.timing else 0.0}
         row.update(_point_errors(state, ref_state))
-        return row
-
-    workers = worker_count()
-    if workers > 1 and len(cutoffs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(solve_point, cutoffs))
-    else:
-        rows = [solve_point(ec) for ec in cutoffs]
-    rows.sort(key=lambda row: row["ec"])
+        rows.append(row)
 
     def try_fit(key, floor):
         try:

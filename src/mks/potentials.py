@@ -31,6 +31,8 @@ __all__ = [
 
 DIRAC_COEFF = 0.738558766  # (3/4) (3/pi)^(1/3)
 DENSITY_FLOOR = 1e-12
+XC_AUDIT_SAMPLES = 513
+XC_AUDIT_FD_RTOL = 1e-6
 
 
 class ExternalPotential:
@@ -241,14 +243,14 @@ def null_xc() -> XcFunctional:
     return XcFunctional("none", zero, zero, zero, zero, 0.0, 0.0, 0.0, 0.0, 1.0)
 
 
-def audit_xc(xc: XcFunctional, n_samples=513, fd_rtol=1e-6):
+def audit_xc(xc: XcFunctional):
     """Check the stored growth constants and the first derivative numerically.
 
     Samples a log grid t in [1e-4, 1e4] for the three growth bounds and
     compares d1 against centered finite differences of e on [0.01, 10].
     Returns a report dict; ``passed`` is False on any violation.
     """
-    t = np.logspace(-4, 4, n_samples)
+    t = np.logspace(-4, 4, XC_AUDIT_SAMPLES)
     slack = 1.0 + 1e-9  # roundoff allowance for bounds that are tight at infinity
 
     b0 = np.abs(xc.e(t)) / (xc.c0 * (1.0 + t ** (4.0 / 3.0))) if xc.c0 else None
@@ -279,7 +281,7 @@ def audit_xc(xc: XcFunctional, n_samples=513, fd_rtol=1e-6):
         "a3_second_max_ratio": float(np.max(b2)) if b2 is not None else float("nan"),
     }
     finite = [v for v in ratios.values() if np.isfinite(v)]
-    passed = all(v <= slack for v in finite) and fd_err <= fd_rtol
+    passed = all(v <= slack for v in finite) and fd_err <= XC_AUDIT_FD_RTOL
     return {
         "name": xc.name,
         "constants": {

@@ -48,6 +48,7 @@ LANCZOS_NCV = 40
 LANCZOS_TOL = 1e-12
 LANCZOS_SEED = 0
 MINRES_RTOL = 1e-14
+REFINE_STEPS = 2
 
 
 class TangentPerturbation:
@@ -76,7 +77,7 @@ def _log_cosh(x):
     return np.abs(x) + np.log1p(np.exp(-2.0 * np.abs(x))) - np.log(2.0)
 
 
-def divided_difference_table(eigenvalues, mu, smearing, tol=DEGENERACY_TOL):
+def divided_difference_table(eigenvalues, mu, smearing):
     """D(l_i, l_j) = (f(l_i) - f(l_j)) / (l_i - l_j), with the f' limit on
     (near-)degenerate pairs.  Every entry is negative for Fermi-Dirac f.
 
@@ -94,7 +95,7 @@ def divided_difference_table(eigenvalues, mu, smearing, tol=DEGENERACY_TOL):
     diff = vals[:, None] - vals[None, :]
     ay = 0.5 * beta * np.abs(diff)
     scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
-    near = np.abs(diff) < tol * scale
+    near = np.abs(diff) < DEGENERACY_TOL * scale
     with np.errstate(divide="ignore", invalid="ignore"):
         logsinh = np.where(
             ay <= 1.0,
@@ -209,16 +210,10 @@ def apply_jacobian(ctx: ResponseContext, psi, s: float) -> TangentPerturbation:
 # -- real coordinates on the Hermitian tangent space ----------------------
 
 
-def _coord_maps(m):
-    iu = np.triu_indices(m, 1)
-    return iu
-
-
-def hermitian_to_coords(psi, m=None) -> np.ndarray:
+def hermitian_to_coords(psi) -> np.ndarray:
     """Coordinates in a Frobenius-orthonormal real basis of Hermitian matrices."""
     psi = np.asarray(psi, dtype=complex)
-    m = psi.shape[0]
-    iu = _coord_maps(m)
+    iu = np.triu_indices(psi.shape[0], 1)
     sqrt2 = np.sqrt(2.0)
     return np.concatenate(
         [psi.diagonal().real, sqrt2 * psi[iu].real, sqrt2 * psi[iu].imag]
@@ -227,7 +222,7 @@ def hermitian_to_coords(psi, m=None) -> np.ndarray:
 
 def coords_to_hermitian(x, m) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    iu = _coord_maps(m)
+    iu = np.triu_indices(m, 1)
     k = iu[0].size
     psi = np.zeros((m, m), dtype=complex)
     psi[np.diag_indices(m)] = x[:m]
@@ -251,7 +246,7 @@ class _WeightedKernel:
 
     def __init__(self, ctx: ResponseContext):
         self.ctx = ctx
-        iu = _coord_maps(ctx.n_states)
+        iu = np.triu_indices(ctx.n_states, 1)
         d = ctx.dd_table
         self.s = np.sqrt(np.abs(np.concatenate([d.diagonal(), d[iu], d[iu]])))
         self.dim = self.s.size
@@ -299,16 +294,15 @@ class _WeightedKernel:
         return -r + self.s * q
 
 
-def solve_jacobian(ctx: ResponseContext, phi, t: float,
-                   refine: int = 2) -> TangentPerturbation:
+def solve_jacobian(ctx: ResponseContext, phi, t: float) -> TangentPerturbation:
     """Solve J(Psi, s) = (Phi, t) for the tangent and the mu component.
 
     Psi = (chi - I)^{-1} (Phi - s g_mu(H)) with
     s = (Tr((chi - I)^{-1} Phi) - t) / Tr((chi - I)^{-1} g_mu(H)); each
     (chi - I)^{-1} is a MINRES solve on A = I + S B S.  The exact residual
-    is checked through apply_jacobian and polished by iterative refinement;
-    a system that stays unsolved raises with the MINRES status and the
-    residual in the message.
+    is checked through apply_jacobian and polished by up to REFINE_STEPS
+    steps of iterative refinement; a system that stays unsolved raises with
+    the MINRES status and the residual in the message.
     """
     phi = np.asarray(phi, dtype=complex)
     m = ctx.n_states
@@ -328,18 +322,17 @@ def solve_jacobian(ctx: ResponseContext, phi, t: float,
     x = y_phi - s * y_g
 
     tolerance = 1e-10 * max(1.0, np.linalg.norm(phi_coords) + abs(t))
-    steps = max(refine, 0)
-    for attempt in range(steps + 1):
+    for attempt in range(REFINE_STEPS + 1):
         out = apply_jacobian(ctx, coords_to_hermitian(x, m), s)
         r_first = hermitian_to_coords(phi - out.matrix)
         r_trace = t - out.scalar
         size = np.linalg.norm(r_first) + abs(r_trace)
         if size <= tolerance:
             break
-        if attempt == steps:
+        if attempt == REFINE_STEPS:
             raise RuntimeError(
                 f"chi - I is singular on the tangent space (MINRES info 0, "
-                f"Jacobian residual {size:.3e} after {steps} refinement steps)"
+                f"Jacobian residual {size:.3e} after {REFINE_STEPS} refinement steps)"
             )
         y_r = op.solve_chi_minus_identity(r_first)
         ds = (float(y_r[:m].sum()) - r_trace) / denom

@@ -44,6 +44,8 @@ OCC_TAIL = 1e-12
 STATE_BUFFER = 8
 RESIDUAL_TOL = 1e-8
 LOBPCG_SEED = 7
+MIXING_ALPHA = 0.5
+ANDERSON_WINDOW = 5
 
 
 class EigensolverError(RuntimeError):
@@ -105,7 +107,7 @@ class Hamiltonian:
             self._dense = h
         return self._dense
 
-    def diagonal_preconditioner(self, shift=1.0) -> LinearOperator:
+    def diagonal_preconditioner(self, shift) -> LinearOperator:
         d = 1.0 / (0.5 * self.basis.g_norm2 + shift)
 
         def apply(x):
@@ -221,7 +223,7 @@ class _AndersonMixer:
     A window of one pair is plain damping, rho_in + alpha (rho_out - rho_in).
     """
 
-    def __init__(self, alpha, window=5):
+    def __init__(self, alpha, window):
         self.alpha = alpha
         self.window = window
         self.inputs = []
@@ -307,9 +309,8 @@ def fixed_point_residual(state: ScfState) -> float:
 
 def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
             xc: XcFunctional, smearing: Smearing, n_electrons: float,
-            hartree_on=True, mixing="damping", mixing_alpha=0.5,
-            anderson_window=5, tol_rho=1e-8, tol_f=1e-10, max_iter=200,
-            raise_on_failure=True,
+            hartree_on=True, mixing="damping", tol_rho=1e-8, tol_f=1e-10,
+            max_iter=200, raise_on_failure=True,
             initial_rho: GridFunction | None = None) -> ScfState:
     """Damped (optionally Anderson-accelerated) self-consistent field loop.
 
@@ -323,9 +324,9 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
     if n_electrons <= 0:
         raise ValueError("n_electrons must be positive")
     if mixing == "damping":
-        mixer = _AndersonMixer(mixing_alpha, window=1)
+        mixer = _AndersonMixer(MIXING_ALPHA, window=1)
     elif mixing == "anderson":
-        mixer = _AndersonMixer(mixing_alpha, anderson_window)
+        mixer = _AndersonMixer(MIXING_ALPHA, ANDERSON_WINDOW)
     else:
         raise ValueError(f"unknown mixing scheme {mixing!r}")
 

@@ -210,6 +210,55 @@ def test_missing_config_key_exits_2(tmp_path, capsys):
     assert "missing [system] n_electrons" in err
 
 
+@pytest.mark.parametrize("section, line, key", [
+    ("scf", "seed = 3", "scf.seed"),
+    ("sweep", "dense_cap = 100", "sweep.dense_cap"),
+    ("scf", "alpah = 0.9", "scf.alpah"),
+    ("scf", "alpha = 0.5", "scf.alpha"),
+    ("mixer", "kind = broyden", "mixer.kind"),
+    # read only for gaussian_wells, and free1d's potential is zero
+    ("potential", "centers = 1.0", "potential.centers"),
+])
+def test_unknown_config_key_exits_2(tmp_path, capsys, section, line, key):
+    text = bundled_config_path("free1d").read_text()
+    if f"[{section}]" in text:
+        text = text.replace(f"[{section}]", f"[{section}]\n{line}")
+    else:
+        text += f"\n[{section}]\n{line}\n"
+    cfg = tmp_path / "unknown.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "never"
+    code = main(["scf", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert f"unknown keys {key}\n" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "quasi-opt"])
+@pytest.mark.parametrize("args, fragment", [
+    (["--cutoffs", "abc"], "'abc'"),
+    (["--cutoffs", "0,-2,4"], "got -2"),
+    (["--cutoffs", "2,nan"], "got nan"),
+    (["--reference", "-5"], "got -5"),
+    (["--reference", "inf"], "got inf"),
+])
+def test_bad_sweep_input_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                  command, args, fragment):
+    calls = []
+    monkeypatch.setattr("mks.harness.run_single",
+                        lambda *a, **kw: calls.append(a))
+    code = main([command, "--config", "free1d", "--out", str(tmp_path / "w"),
+                 *args])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert fragment in err
+    assert calls == []
+
+
 @pytest.mark.parametrize("name", ["free1d", "si1d", "rhf1d", "tiny3d"])
 def test_bundled_config_has_no_dead_keys(name):
     # every key a shipped file sets reaches the run's identity, except the

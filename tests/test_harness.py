@@ -21,7 +21,6 @@ from mks.harness import (
     quasi_optimality,
     run_single,
     run_sweep,
-    worker_count,
 )
 
 MINIMAL_CFG = """
@@ -207,20 +206,6 @@ def test_sweep_validation_errors():
         run_sweep(cfg, cutoffs=[2.0, 4.0], reference=6.0)
 
 
-def test_sweep_parallel_rows_match_serial(monkeypatch):
-    cfg = RunConfig.from_file("free1d")
-    monkeypatch.setenv("MKS_THREADS", "1")
-    serial = run_sweep(cfg)
-    monkeypatch.setenv("MKS_THREADS", "3")
-    parallel = run_sweep(cfg)
-    assert len(serial.rows) == len(parallel.rows)
-    for a, b in zip(serial.rows, parallel.rows):
-        for key in CSV_COLUMNS:
-            if key == "wall_s":
-                continue
-            assert a[key] == b[key], key
-
-
 # -- quasi-optimality --------------------------------------------------------
 
 
@@ -286,18 +271,3 @@ def test_quasi_optimality_validates_reference():
         quasi_optimality(cfg)
     with pytest.raises(ConfigError, match="at least twice"):
         quasi_optimality(cfg, cutoffs=[3.0], reference=4.0)
-
-
-# -- worker count ------------------------------------------------------------
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("MKS_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("MKS_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("MKS_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("MKS_THREADS", "two")
-    with pytest.raises(ConfigError, match="MKS_THREADS"):
-        worker_count()

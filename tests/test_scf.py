@@ -168,8 +168,8 @@ def test_run_scf_computes_one_density_per_iteration(monkeypatch):
     state = run_scf(
         cfg.build_basis(), cfg.build_external(), cfg.build_xc(),
         cfg.build_smearing(), cfg.n_electrons, hartree_on=cfg.hartree_on,
-        mixing=cfg.mixing, mixing_alpha=cfg.mixing_alpha,
-        tol_rho=cfg.tol_rho, tol_f=cfg.tol_f, max_iter=cfg.max_iter,
+        mixing=cfg.mixing, tol_rho=cfg.tol_rho, tol_f=cfg.tol_f,
+        max_iter=cfg.max_iter,
     )
     # one per map, plus the input and output of the final residual check
     assert len(calls) == state.iterations + 2
@@ -354,7 +354,6 @@ def test_scf_is_idempotent_from_converged_density():
     restart = run_scf(
         state.basis, state.external, state.xc, state.smearing,
         cfg.n_electrons, hartree_on=cfg.hartree_on, mixing=cfg.mixing,
-        mixing_alpha=cfg.mixing_alpha, anderson_window=cfg.anderson_window,
         tol_rho=cfg.tol_rho, tol_f=cfg.tol_f, max_iter=50,
         initial_rho=state.rho,
     )
@@ -378,7 +377,6 @@ def test_scf_failure_paths():
     basis = cfg.build_basis()
     kwargs = dict(
         hartree_on=cfg.hartree_on, mixing=cfg.mixing,
-        mixing_alpha=cfg.mixing_alpha, anderson_window=cfg.anderson_window,
         tol_rho=cfg.tol_rho, tol_f=cfg.tol_f, max_iter=3,
     )
     with pytest.raises(ScfError, match="no convergence"):
