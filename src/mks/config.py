@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from importlib import resources
 
 import numpy as np
@@ -137,15 +138,14 @@ class RunConfig:
         self.dimension = dim
         self.lattice = lattice
 
-        self.n_electrons = float(self._get(p, "system", "n_electrons"))
-        self.beta = float(self._get(p, "system", "beta"))
-        self.cutoff = float(self._get(p, "system", "cutoff"))
-        if self.n_electrons <= 0:
-            raise ConfigError(f"{self.origin}: n_electrons must be positive")
-        if self.beta <= 0:
-            raise ConfigError(f"{self.origin}: beta must be positive")
-        if self.cutoff <= 0:
-            raise ConfigError(f"{self.origin}: cutoff must be positive")
+        for key in ("n_electrons", "beta", "cutoff"):
+            value = float(self._get(p, "system", key))
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(
+                    f"{self.origin}: {key} must be positive and finite, "
+                    f"got {value:g}"
+                )
+            setattr(self, key, value)
 
         kind = self._get(p, "potential", "kind", "zero").strip()
         if kind == "zero":

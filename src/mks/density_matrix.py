@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas
 
 from .cell import GridFunction, PlaneWaveBasis
 from .potentials import ExternalPotential, XcFunctional, assemble_effective
@@ -63,7 +64,12 @@ class DensityMatrix:
         ):
             raise ValueError("occupations outside [0, 1] beyond 1e-12")
         if validate and orbitals.shape[1]:
-            overlap = orbitals.conj().T @ orbitals
+            # numpy and scipy each ship their own OpenBLAS thread pool. After
+            # a threaded numpy product, numpy's workers busy-wait on the cores
+            # that scipy's eigh then needs: on tiny3d at 251 plane waves (2
+            # vCPU) the next partial eigh took 27 ms instead of 15 ms. So
+            # products that run next to the eigensolver use scipy's BLAS.
+            overlap = blas.zgemm(1.0, orbitals, orbitals, trans_a=2)
             drift = np.abs(overlap - np.eye(orbitals.shape[1])).max()
             if drift > 1e-10:
                 raise ValueError(f"orbitals not orthonormal, drift {drift:.3e}")
@@ -148,9 +154,12 @@ def _difference_core(a_orbitals, a_occupations, b_orbitals, b_occupations):
     of Phi are orthonormal, and also when R is wide (more columns than rows).
     """
     stacked = np.concatenate([a_orbitals, b_orbitals], axis=1)
-    r = np.linalg.qr(stacked, mode="r")
+    # scipy pads a tall R with zero rows; keep the min(npw, ma + mb) others
+    r = scipy.linalg.qr(stacked, mode="r")[0][: min(stacked.shape)]
     d = np.concatenate([a_occupations, -b_occupations])
-    return (r * d) @ r.conj().T
+    # (r * d) @ r.conj().T, passing BLAS the operands in the order numpy's
+    # matmul does, so that unthreaded results match that product bit for bit
+    return blas.zgemm(1.0, r.conj().T, (r * d).T, trans_a=1).T
 
 
 def s11_distance(a: DensityMatrix, b: DensityMatrix) -> float:

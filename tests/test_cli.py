@@ -237,6 +237,24 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, section, line, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["n_electrons", "beta", "cutoff"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+def test_bad_system_scalar_exits_2(tmp_path, capsys, key, value):
+    lines = bundled_config_path("free1d").read_text().splitlines()
+    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+             for line in lines]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "never"
+    code = main(["scf", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert f"{key} must be positive and finite, got {float(value):g}\n" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sweep", "quasi-opt"])
 @pytest.mark.parametrize("args, fragment", [
     (["--cutoffs", "abc"], "'abc'"),

@@ -7,11 +7,13 @@ vectorized formulas.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import converged_state, random_density_matrix
 from mks.cell import Cell, build_basis, l2_norm
 from mks.density_matrix import (
     DensityMatrix,
+    _difference_core,
     density,
     embed_dm,
     free_energy,
@@ -220,6 +222,83 @@ def test_density_matrix_validation(small_basis):
         DensityMatrix(small_basis, q, np.array([0.5, 1.5]))
     with pytest.raises(ValueError):
         DensityMatrix(small_basis, q, np.array([0.5]))
+
+
+def orthonormal_columns(n, seed):
+    """All n eigenvectors of a random Hermitian matrix, Fortran-ordered as
+    scipy's eigh returns them in the SCF."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return scipy.linalg.eigh(raw + raw.conj().T)[1]
+
+
+def test_orthonormality_check_threshold(small_basis):
+    q = orthonormal_columns(small_basis.size, seed=16)[:, :3]
+    occ = np.full(3, 0.5)
+    for drift in (0.99e-10, 1.01e-10):
+        stretched = q.copy()
+        stretched[:, 1] *= np.sqrt(1.0 + drift)
+        tilted = q.copy()
+        tilted[:, 2] += drift * q[:, 0]
+        for orbitals in (stretched, tilted):
+            if drift < 1e-10:
+                DensityMatrix(small_basis, orbitals, occ)
+            else:
+                with pytest.raises(ValueError, match="drift 1.010e-10"):
+                    DensityMatrix(small_basis, orbitals, occ)
+
+
+@pytest.mark.parametrize("layout", [
+    "c_order", "fortran_order", "leading_columns", "strided_columns",
+    "single_column",
+])
+def test_orthonormality_check_any_layout(small_basis, layout):
+    full = orthonormal_columns(small_basis.size, seed=17)
+    # the SCF passes the leading-column view vecs[:, :keep] of eigh's output
+    views = {
+        "c_order": lambda q: np.ascontiguousarray(q[:, :4]),
+        "fortran_order": lambda q: np.asfortranarray(q[:, :4]),
+        "leading_columns": lambda q: q[:, :4],
+        "strided_columns": lambda q: np.ascontiguousarray(q)[:, 1:9:2],
+        "single_column": lambda q: q[:, :1],
+    }
+    orbitals = views[layout](full)
+    occ = np.full(orbitals.shape[1], 0.5)
+    gamma = DensityMatrix(small_basis, orbitals, occ)
+    assert gamma.orbitals.shape == orbitals.shape
+    bent = full.copy(order="K")
+    bent[:, :2] *= 1.0 + 1e-8
+    bent = views[layout](bent)
+    drift = np.abs(bent.conj().T @ bent - np.eye(bent.shape[1])).max()
+    with pytest.raises(ValueError, match=f"drift {drift:.3e}"):
+        DensityMatrix(small_basis, bent, occ)
+
+
+def difference_core_numpy(a_orbitals, a_occupations, b_orbitals, b_occupations):
+    """The core R D R* of A - B from numpy's QR and matmul."""
+    stacked = np.concatenate([a_orbitals, b_orbitals], axis=1)
+    r = np.linalg.qr(stacked, mode="r")
+    d = np.concatenate([a_occupations, -b_occupations])
+    return (r * d) @ r.conj().T
+
+
+@pytest.mark.parametrize("ma, mb", [(3, 4), (5, 6), (7, 8)],
+                         ids=["tall", "square", "wide"])
+def test_difference_core_matches_numpy_oracle(small_basis, ma, mb):
+    assert ma + mb - small_basis.size in (-4, 0, 4)
+    a = random_density_matrix(small_basis, ma, seed=18)
+    b = random_density_matrix(small_basis, mb, seed=19)
+    scale = np.sqrt(small_basis.g_norm2)[:, None]
+    for left, right in ((a.orbitals, b.orbitals),
+                        (scale * a.orbitals, scale * b.orbitals)):
+        core = _difference_core(left, a.occupations, right, b.occupations)
+        oracle = difference_core_numpy(left, a.occupations,
+                                       right, b.occupations)
+        assert core.shape == oracle.shape == (min(small_basis.size, ma + mb),) * 2
+        np.testing.assert_allclose(core, core.conj().T, rtol=0, atol=1e-14)
+        got, want = np.linalg.eigvalsh(core), np.linalg.eigvalsh(oracle)
+        np.testing.assert_allclose(got, want, rtol=1e-13,
+                                   atol=1e-13 * np.abs(want).max())
 
 
 def test_free_energy_breakdown_terms(small_basis):
