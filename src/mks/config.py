@@ -174,9 +174,6 @@ class RunConfig:
             raise ConfigError(f"{self.origin}: unknown xc functional {self.xc_name!r}")
         self.hartree_on = _bool(self._get(p, "xc", "hartree", "on"), "hartree")
 
-        self.mixing = self._get(p, "scf", "mixing", "damping").strip()
-        if self.mixing not in ("damping", "anderson"):
-            raise ConfigError(f"{self.origin}: unknown mixing {self.mixing!r}")
         self.tol_rho = float(self._get(p, "scf", "tol_rho", "1e-8"))
         self.tol_f = float(self._get(p, "scf", "tol_f", "1e-10"))
         self.max_iter = int(self._get(p, "scf", "max_iter", "200"))
@@ -236,7 +233,6 @@ class RunConfig:
             "system.cutoff": repr(self.cutoff),
             "xc.functional": self.xc_name,
             "xc.hartree": self.hartree_on,
-            "scf.mixing": self.mixing,
             "scf.tol_rho": repr(self.tol_rho),
             "scf.tol_f": repr(self.tol_f),
             "scf.max_iter": self.max_iter,

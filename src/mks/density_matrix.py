@@ -4,9 +4,9 @@ A state is stored spectrally: orthonormal orbital coefficients (one column
 per retained state) plus occupations in [0, 1].  All trace-class bookkeeping
 (the S^{1,1} norm Tr|A| + Tr(| |grad| A |grad| |), free energies, entropy)
 is evaluated through this representation; operator logarithms are never
-formed, and distances between two states come from a small core of their
-difference on the span of both orbital sets, never from a dense
-(npw, npw) matrix.
+formed, and distances between two states come from a core of their
+difference on the span of both orbital sets, whose size is the smaller of
+npw and the number of stacked orbitals.
 """
 
 from __future__ import annotations
@@ -151,12 +151,16 @@ def _difference_core(a_orbitals, a_occupations, b_orbitals, b_occupations):
 
     With R from a QR of Phi, A - B = Q (R D R*) Q* for orthonormal Q, so the
     core R D R* has the nonzero spectrum of A - B whether or not the columns
-    of Phi are orthonormal, and also when R is wide (more columns than rows).
+    of Phi are orthonormal.  When the states use up the basis (ma + mb >=
+    npw) the core is A - B itself, the same size as R D R* but without the
+    QR.
     """
     stacked = np.concatenate([a_orbitals, b_orbitals], axis=1)
-    # scipy pads a tall R with zero rows; keep the min(npw, ma + mb) others
-    r = scipy.linalg.qr(stacked, mode="r")[0][: min(stacked.shape)]
     d = np.concatenate([a_occupations, -b_occupations])
+    if stacked.shape[1] >= stacked.shape[0]:
+        return blas.zgemm(1.0, stacked * d, stacked, trans_b=2)
+    # scipy pads a tall R with zero rows; keep the ma + mb others
+    r = scipy.linalg.qr(stacked, mode="r")[0][: stacked.shape[1]]
     # (r * d) @ r.conj().T, passing BLAS the operands in the order numpy's
     # matmul does, so that unthreaded results match that product bit for bit
     return blas.zgemm(1.0, r.conj().T, (r * d).T, trans_a=1).T
@@ -167,9 +171,10 @@ def s11_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
     Both states are embedded in the finer of the two bases.  Each trace is
     the absolute eigenvalue sum of a core of the difference of size at most
-    ma + mb (see ``_difference_core``), the second with every orbital row
-    scaled by |G| first, so the cost is O(npw (ma + mb)^2) and the value
-    does not depend on the basis chosen inside a degenerate eigenspace.
+    min(npw, ma + mb) (see ``_difference_core``), the second with every
+    orbital row scaled by |G| first, so the cost is O(npw (ma + mb)^2) and
+    the value does not depend on the basis chosen inside a degenerate
+    eigenspace.
     """
     common = a.basis if a.basis.cutoff >= b.basis.cutoff else b.basis
     pa = a.orbitals if a.basis == common else embed_dm(a, common).orbitals
@@ -177,7 +182,8 @@ def s11_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
     def trace_abs(left, right):
         core = _difference_core(left, a.occupations, right, b.occupations)
-        return float(np.abs(np.linalg.eigvalsh(core)).sum())
+        # scipy's LAPACK, on the pool that built the core (see DensityMatrix)
+        return float(np.abs(scipy.linalg.eigvalsh(core)).sum())
 
     scale = np.sqrt(common.g_norm2)[:, None]
     return trace_abs(pa, pb) + trace_abs(scale * pa, scale * pb)

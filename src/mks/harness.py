@@ -57,7 +57,6 @@ def run_single(config: RunConfig, cutoff=None, beta=None,
         config.build_smearing(beta),
         config.n_electrons,
         hartree_on=config.hartree_on,
-        mixing=config.mixing,
         tol_rho=config.tol_rho * tighten,
         tol_f=config.tol_f * tighten,
         max_iter=max_iter,

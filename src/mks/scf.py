@@ -218,14 +218,14 @@ def fixed_point_map(rho_in: GridFunction, external: ExternalPotential,
 
 
 class _AndersonMixer:
-    """Anderson acceleration over density iterates (window of past pairs).
+    """Anderson acceleration over density iterates (Walker & Ni 2011).
 
-    A window of one pair is plain damping, rho_in + alpha (rho_out - rho_in).
+    Keeps the last ANDERSON_WINDOW input densities and residuals
+    rho_out - rho_in, and mixes the least-squares combination of them with
+    MIXING_ALPHA; the first step is plain damping with that alpha.
     """
 
-    def __init__(self, alpha, window):
-        self.alpha = alpha
-        self.window = window
+    def __init__(self):
         self.inputs = []
         self.residuals = []
 
@@ -233,18 +233,18 @@ class _AndersonMixer:
         r = rho_out - rho_in
         self.inputs.append(rho_in.copy())
         self.residuals.append(r.copy())
-        if len(self.inputs) > self.window:
+        if len(self.inputs) > ANDERSON_WINDOW:
             self.inputs.pop(0)
             self.residuals.pop(0)
         h = len(self.inputs)
         if h == 1:
-            return rho_in + self.alpha * r
+            return rho_in + MIXING_ALPHA * r
         dr = np.stack([self.residuals[j + 1] - self.residuals[j] for j in range(h - 1)])
         dx = np.stack([self.inputs[j + 1] - self.inputs[j] for j in range(h - 1)])
         coef, *_ = np.linalg.lstsq(dr.reshape(h - 1, -1).T, r.ravel(), rcond=None)
         x_bar = rho_in - np.tensordot(coef, dx, axes=1)
         r_bar = r - np.tensordot(coef, dr, axes=1)
-        return x_bar + self.alpha * r_bar
+        return x_bar + MIXING_ALPHA * r_bar
 
 
 class ScfState:
@@ -309,10 +309,10 @@ def fixed_point_residual(state: ScfState) -> float:
 
 def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
             xc: XcFunctional, smearing: Smearing, n_electrons: float,
-            hartree_on=True, mixing="damping", tol_rho=1e-8, tol_f=1e-10,
+            hartree_on=True, tol_rho=1e-8, tol_f=1e-10,
             max_iter=200, raise_on_failure=True,
             initial_rho: GridFunction | None = None) -> ScfState:
-    """Damped (optionally Anderson-accelerated) self-consistent field loop.
+    """Anderson-accelerated self-consistent field loop.
 
     Starts from the uniform density N/|Omega| (or ``initial_rho`` when
     given, e.g. to restart from a converged density); converged when the
@@ -323,12 +323,7 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
     """
     if n_electrons <= 0:
         raise ValueError("n_electrons must be positive")
-    if mixing == "damping":
-        mixer = _AndersonMixer(MIXING_ALPHA, window=1)
-    elif mixing == "anderson":
-        mixer = _AndersonMixer(MIXING_ALPHA, ANDERSON_WINDOW)
-    else:
-        raise ValueError(f"unknown mixing scheme {mixing!r}")
+    mixer = _AndersonMixer()
 
     if initial_rho is None:
         rho_in = GridFunction(

@@ -16,7 +16,7 @@ import pytest
 
 import mks
 from mks.cli import main
-from mks.config import RunConfig, bundled_config_path
+from mks.config import ConfigError, RunConfig, bundled_config_path
 from mks.io import load_density_matrix
 
 
@@ -215,6 +215,7 @@ def test_missing_config_key_exits_2(tmp_path, capsys):
     ("sweep", "dense_cap = 100", "sweep.dense_cap"),
     ("scf", "alpah = 0.9", "scf.alpah"),
     ("scf", "alpha = 0.5", "scf.alpha"),
+    ("scf", "mixing = damping", "scf.mixing"),
     ("mixer", "kind = broyden", "mixer.kind"),
     # read only for gaussian_wells, and free1d's potential is zero
     ("potential", "centers = 1.0", "potential.centers"),
@@ -235,6 +236,13 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, section, line, key):
     assert err.startswith("config error:") and err.count("\n") == 1
     assert f"unknown keys {key}\n" in err
     assert not out.exists()
+
+
+def test_retired_mixing_key_is_a_config_error(tmp_path):
+    cfg = tmp_path / "damped.cfg"
+    cfg.write_text(free1d_text(scf="mixing = damping"))
+    with pytest.raises(ConfigError, match="unknown keys scf.mixing$"):
+        RunConfig.from_file(cfg)
 
 
 @pytest.mark.parametrize("key", ["n_electrons", "beta", "cutoff"])

@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 
 from conftest import converged_state, random_density_matrix
+from mks import density_matrix, scf
 from mks.cell import Cell, build_basis, l2_norm
 from mks.density_matrix import (
     DensityMatrix,
@@ -299,6 +300,26 @@ def test_difference_core_matches_numpy_oracle(small_basis, ma, mb):
         got, want = np.linalg.eigvalsh(core), np.linalg.eigvalsh(oracle)
         np.testing.assert_allclose(got, want, rtol=1e-13,
                                    atol=1e-13 * np.abs(want).max())
+
+
+def test_basis_filling_core_matches_qr_core(monkeypatch):
+    # at beta 2 the reference keeps every plane wave, so the swept state
+    # and the embedded reference together outnumber the reference basis
+    swept = converged_state("tiny3d", cutoff=4.0, beta=2.0).gamma
+    ref = converged_state("tiny3d", cutoff=8.0, beta=2.0).gamma
+    lifted = embed_dm(swept, ref.basis)
+    assert swept.n_states + ref.n_states >= ref.basis.size
+
+    def distances():
+        return [s11_distance(swept, ref),
+                s11_distance(project_dm(ref, swept.basis), ref),
+                scf.gamma_overlap_distance(lifted, ref)]
+
+    direct = distances()
+    monkeypatch.setattr(density_matrix, "_difference_core",
+                        difference_core_numpy)
+    monkeypatch.setattr(scf, "_difference_core", difference_core_numpy)
+    np.testing.assert_allclose(direct, distances(), rtol=1e-12, atol=0)
 
 
 def test_free_energy_breakdown_terms(small_basis):
