@@ -1,7 +1,8 @@
 """Command-line interface: mks {scf, sweep, response, audit-xc, quasi-opt}.
 
 Exit codes: 0 on success, 1 on physics or convergence failures (including
-audit violations) and on running out of memory, 2 on configuration errors.
+audit violations) and on running out of memory, 2 on configuration errors;
+a non-zero exit prints its reason as one line on stderr.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from .harness import quasi_optimality, run_single, run_sweep
 from .io import save_state
 from .potentials import audit_xc
 from .response import ResponseContext, audit_a4
-from .scf import EigensolverError, ScfError
 
 __all__ = ["main"]
 
 # failures of a run that exit 1 with one line on stderr
-_RUN_ERRORS = (ScfError, EigensolverError, RuntimeError, ValueError, MemoryError)
+_RUN_ERRORS = (RuntimeError, ValueError, MemoryError)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -182,12 +182,14 @@ def _cmd_response(args, config) -> int:
             f"denominator_s = {report['denominator_s']:.6g} "
             f"({report['g_sign']} sign, tangent dim {report['tangent_dim']})"
         )
-    return 1 if report["violated"] else 0
+    if report["violated"]:
+        raise RuntimeError(f"A4 fails: lambda_min = {report['lambda_min']:.6g} <= 0")
+    return 0
 
 
 def _cmd_audit_xc(args, config) -> int:
     out = _out_dir(args, config)
-    report = audit_xc(config.build_xc())
+    report = audit_xc(config.xc)
     _write_json(os.path.join(out, "xc_audit.json"), report)
     if args.json:
         print(json.dumps(report, sort_keys=True))
@@ -199,7 +201,9 @@ def _cmd_audit_xc(args, config) -> int:
             f"{report['a3_second_max_ratio']:.4f}, d1 FD err "
             f"{report['d1_fd_max_rel_err']:.2e} [{status}]"
         )
-    return 0 if report["passed"] else 1
+    if not report["passed"]:
+        raise RuntimeError(f"{report['name']} fails its growth-bound audit")
+    return 0
 
 
 def _cmd_quasi_opt(args, config) -> int:
@@ -215,7 +219,12 @@ def _cmd_quasi_opt(args, config) -> int:
             f"orbital constant {result['orbital_constant']:.4f}, "
             f"trend {'ok' if result['trend_ok'] else 'RISING'}"
         )
-    return 0 if result["passed"] else 1
+    if not result["passed"]:
+        raise RuntimeError(
+            f"quasi-optimality fails: max ratio {result['max_ratio']:.4g} "
+            f"(bound {result['bound']:g}), trend {'ok' if result['trend_ok'] else 'rising'}"
+        )
+    return 0
 
 
 _COMMANDS = {

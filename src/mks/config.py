@@ -30,6 +30,10 @@ from .smearing import Smearing
 __all__ = ["ConfigError", "RunConfig", "bundled_config_path"]
 
 
+# [xc] functional -> factory of the exchange-correlation model
+_XC = {"dirac": dirac_exchange, "dirac+corr": dirac_corr, "none": null_xc}
+
+
 class ConfigError(Exception):
     """Malformed or inconsistent run configuration."""
 
@@ -63,7 +67,9 @@ def bundled_config_path(name: str):
 
 
 class RunConfig:
-    """Parsed and validated run configuration."""
+    """Parsed and validated run configuration, with the model it describes
+    (``cell``, ``external``, ``xc``) built at load: a value the model's
+    constructors reject is a ConfigError before any solve."""
 
     def __init__(self, parser: configparser.ConfigParser, origin="<memory>"):
         self.origin = str(origin)
@@ -118,6 +124,18 @@ class RunConfig:
             raise ConfigError(f"{self.origin}: missing [{section}] {key}")
         return parser.get(section, key, fallback=fallback)
 
+    def _rows(self, parser, key, kind):
+        """[potential] key as rows of ``dimension`` coordinates each."""
+        rows = [[kind(c) for c in row]
+                for row in _vectors(self._get(parser, "potential", key))]
+        for row in rows:
+            if len(row) != self.dimension:
+                raise ConfigError(
+                    f"{self.origin}: potential {key} row {row} has {len(row)} "
+                    f"coordinates in dimension {self.dimension}"
+                )
+        return rows
+
     def _load(self, p: configparser.ConfigParser):
         dim = int(self._get(p, "cell", "dimension"))
         if dim not in (1, 2, 3):
@@ -137,6 +155,7 @@ class RunConfig:
             )
         self.dimension = dim
         self.lattice = lattice
+        self.cell = Cell(lattice)
 
         for key in ("n_electrons", "beta", "cutoff"):
             value = float(self._get(p, "system", key))
@@ -150,28 +169,29 @@ class RunConfig:
         kind = self._get(p, "potential", "kind", "zero").strip()
         if kind == "zero":
             self.potential_params = {"kind": "zero"}
+            self.external = ExternalPotential.zero()
         elif kind == "gaussian_wells":
+            centers = self._rows(p, "centers", float)
+            depths = _floats(self._get(p, "potential", "depths"))
+            widths = _floats(self._get(p, "potential", "widths"))
             self.potential_params = {
-                "kind": kind,
-                "centers": _vectors(self._get(p, "potential", "centers")),
-                "depths": _floats(self._get(p, "potential", "depths")),
-                "widths": _floats(self._get(p, "potential", "widths")),
+                "kind": kind, "centers": centers, "depths": depths, "widths": widths,
             }
+            self.external = gaussian_wells(centers, depths, widths)
         elif kind == "cosine_series":
+            modes = self._rows(p, "modes", int)
+            amplitudes = _floats(self._get(p, "potential", "amplitudes"))
             self.potential_params = {
-                "kind": kind,
-                "modes": [
-                    [int(c) for c in row]
-                    for row in _vectors(self._get(p, "potential", "modes"))
-                ],
-                "amplitudes": _floats(self._get(p, "potential", "amplitudes")),
+                "kind": kind, "modes": modes, "amplitudes": amplitudes,
             }
+            self.external = cosine_series(modes, amplitudes)
         else:
             raise ConfigError(f"{self.origin}: unknown potential kind {kind!r}")
 
         self.xc_name = self._get(p, "xc", "functional", "dirac").strip()
-        if self.xc_name not in ("dirac", "dirac+corr", "none"):
+        if self.xc_name not in _XC:
             raise ConfigError(f"{self.origin}: unknown xc functional {self.xc_name!r}")
+        self.xc = _XC[self.xc_name]()
         self.hartree_on = _bool(self._get(p, "xc", "hartree", "on"), "hartree")
 
         self.tol_rho = float(self._get(p, "scf", "tol_rho", "1e-8"))
@@ -195,26 +215,8 @@ class RunConfig:
 
     # -- factories ----------------------------------------------------------
 
-    def build_cell(self) -> Cell:
-        return Cell(self.lattice)
-
     def build_basis(self, cutoff=None) -> PlaneWaveBasis:
-        return PlaneWaveBasis(self.build_cell(), cutoff or self.cutoff)
-
-    def build_external(self) -> ExternalPotential:
-        params = self.potential_params
-        if params["kind"] == "zero":
-            return ExternalPotential.zero()
-        if params["kind"] == "gaussian_wells":
-            return gaussian_wells(params["centers"], params["depths"], params["widths"])
-        return cosine_series(params["modes"], params["amplitudes"])
-
-    def build_xc(self):
-        if self.xc_name == "dirac":
-            return dirac_exchange()
-        if self.xc_name == "dirac+corr":
-            return dirac_corr()
-        return null_xc()
+        return PlaneWaveBasis(self.cell, cutoff or self.cutoff)
 
     def build_smearing(self, beta=None) -> Smearing:
         return Smearing(beta if beta is not None else self.beta)

@@ -52,8 +52,8 @@ def run_single(config: RunConfig, cutoff=None, beta=None,
     max_iter = config.max_iter if tighten >= 1.0 else 2 * config.max_iter
     return run_scf(
         basis,
-        config.build_external(),
-        config.build_xc(),
+        config.external,
+        config.xc,
         config.build_smearing(beta),
         config.n_electrons,
         hartree_on=config.hartree_on,

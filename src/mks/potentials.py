@@ -298,12 +298,12 @@ def audit_xc(xc: XcFunctional):
 
 
 def coulomb_solve(basis: PlaneWaveBasis, values):
-    """Plain Fourier coefficients rhohat of grid samples and the complex grid
-    values of their Coulomb potential sum_{G != 0} 4 pi rhohat(G) / |G|^2
-    exp(i G.r).  Shared by ``hartree`` and the response kernel; not a model
-    term, so not in ``__all__``."""
+    """Plain Fourier coefficients rhohat of real grid samples and the real
+    grid values of their Coulomb potential sum_{G != 0} 4 pi rhohat(G) /
+    |G|^2 exp(i G.r).  Shared by ``hartree`` and the response kernel; not a
+    model term, so not in ``__all__``."""
     plain = basis.fourier_coefficients(values)
-    return plain, basis.fourier_values(basis.coulomb_multiplier * plain)
+    return plain, basis.fourier_values(basis.coulomb_multiplier * plain).real
 
 
 def hartree(rho: GridFunction):
@@ -321,7 +321,7 @@ def hartree(rho: GridFunction):
         values = values.real
     mult = basis.coulomb_multiplier
     plain, v_values = coulomb_solve(basis, values)
-    v_h = GridFunction(basis, v_values.real)
+    v_h = GridFunction(basis, v_values)
     e_h = 0.5 * basis.cell.volume * float(np.sum(mult * np.abs(plain) ** 2))
     return v_h, e_h
 

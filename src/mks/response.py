@@ -155,10 +155,10 @@ class ResponseContext:
     # -- kernel pieces ---------------------------------------------------
 
     def pair_density(self, psi) -> np.ndarray:
-        """rho_Psi(r) = sum_ij Psi_ij phi_i(r) conj(phi_j(r)), flattened."""
+        """rho_Psi(r) = sum_ij Psi_ij phi_i(r) conj(phi_j(r)), flattened;
+        real for the Hermitian tangents the response operator acts on."""
         mixed = np.tensordot(psi, self.grid_orbitals, axes=([0], [0]))
-        rho = np.einsum("jx,jx->x", mixed, np.conj(self.grid_orbitals))
-        return rho
+        return np.einsum("jx,jx->x", mixed, np.conj(self.grid_orbitals)).real
 
     def kernel_potential(self, rho_flat) -> np.ndarray:
         """dv = v_H(rho) + e_xc''(rho_bar) rho on the grid, flattened."""
@@ -175,6 +175,10 @@ class ResponseContext:
         weighted = self.grid_orbitals * potential_flat
         return self.weight * (np.conj(self.grid_orbitals) @ weighted.T)
 
+    def kernel_matrix(self, psi) -> np.ndarray:
+        """The bare kernel B Psi = <phi_i| dv[rho_Psi] |phi_j>."""
+        return self.matrix_elements(self.kernel_potential(self.pair_density(psi)))
+
 
 def apply_chi(ctx: ResponseContext, psi) -> np.ndarray:
     """chi Psi via the exact spectral double sum over retained pairs."""
@@ -182,20 +186,15 @@ def apply_chi(ctx: ResponseContext, psi) -> np.ndarray:
     m = ctx.n_states
     if psi.shape != (m, m):
         raise ValueError(f"tangent must be ({m}, {m})")
-    rho = ctx.pair_density(psi)
-    if np.abs(psi - psi.conj().T).max() < 1e-10:
-        rho = rho.real
-    dv = ctx.kernel_potential(rho)
-    return ctx.dd_table * ctx.matrix_elements(dv)
+    if np.abs(psi - psi.conj().T).max() > 1e-10:
+        raise ValueError("tangent must be Hermitian")
+    return ctx.dd_table * ctx.kernel_matrix(psi)
 
 
 def rhf_quadratic_form(ctx: ResponseContext, psi) -> float:
     """sum_ij D_ij |<phi_i| v_H(rho_Psi) |phi_j>|^2, the Coulomb-paired
     quadratic form of chi.  Non-positive whenever the xc kernel is off."""
-    psi = np.asarray(psi, dtype=complex)
-    rho = ctx.pair_density(psi).real
-    dv = ctx.kernel_potential(rho)
-    m_el = ctx.matrix_elements(dv)
+    m_el = ctx.kernel_matrix(np.asarray(psi, dtype=complex))
     return float(np.sum(ctx.dd_table * np.abs(m_el) ** 2))
 
 
@@ -259,8 +258,7 @@ class _WeightedKernel:
 
     def bare(self, x) -> np.ndarray:
         ctx = self.ctx
-        rho = ctx.pair_density(coords_to_hermitian(x, ctx.n_states)).real
-        return hermitian_to_coords(ctx.matrix_elements(ctx.kernel_potential(rho)))
+        return hermitian_to_coords(ctx.kernel_matrix(coords_to_hermitian(x, ctx.n_states)))
 
     def apply(self, q) -> np.ndarray:
         self.applications += 1

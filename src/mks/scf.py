@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import LinearOperator, lobpcg
+from scipy.sparse.linalg import lobpcg
 
 from .cell import GridFunction, PlaneWaveBasis, l2_norm
 from .density_matrix import (
@@ -107,21 +107,6 @@ class Hamiltonian:
             self._dense = h
         return self._dense
 
-    def diagonal_preconditioner(self, shift) -> LinearOperator:
-        d = 1.0 / (0.5 * self.basis.g_norm2 + shift)
-
-        def apply(x):
-            # scipy passes vectors as (n,) or (n, 1) and blocks as (n, k)
-            x = np.asarray(x)
-            return d * x if x.ndim == 1 else d[:, None] * x
-
-        return LinearOperator(
-            (self.basis.size, self.basis.size),
-            matvec=apply,
-            matmat=apply,
-            dtype=complex,
-        )
-
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude entry of each column real and positive."""
@@ -151,16 +136,11 @@ def lowest_eigenpairs(ham: Hamiltonian, m: int):
             (basis.size, m)
         )
         shift = max(1.0, -float(ham.v_values.min()))
-        op = LinearOperator(
-            (basis.size, basis.size),
-            matvec=lambda x: ham.apply(x),
-            matmat=lambda x: ham.apply(x),
-            dtype=complex,
-        )
+        scale = 1.0 / (0.5 * basis.g_norm2 + shift)
         vals, vecs = lobpcg(
-            op,
+            ham.apply,
             x0,
-            M=ham.diagonal_preconditioner(shift),
+            M=lambda x: scale[:, None] * x,
             largest=False,
             tol=RESIDUAL_TOL * 1e-2,
             maxiter=600,

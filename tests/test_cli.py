@@ -13,6 +13,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+import scipy.linalg
 
 import mks
 from mks.cli import main
@@ -285,6 +286,33 @@ def test_bad_sweep_input_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
     assert calls == []
 
 
+@pytest.mark.parametrize("name, old, new, fragment", [
+    ("tiny3d", "widths = 0.8", "widths = -0.8", "gaussian widths must be positive"),
+    ("si1d", "depths = -2.4, -2.1, -2.7", "depths = -2.4, -2.1",
+     "centers, depths, widths must have equal length"),
+    ("tiny3d", "centers = 3.0, 3.0, 3.0", "centers = 3.0, 3.0",
+     "potential centers row [3.0, 3.0] has 2 coordinates in dimension 3"),
+    ("free1d", "dimension = 1\nlattice = 6.283185307179586",
+     "dimension = 2\nlattice = 1, 2; 2, 4", "lattice vectors are linearly dependent"),
+    ("free1d", "kind = zero", "kind = cosine_series\nmodes = 1, 2\namplitudes = 0.5",
+     "potential modes row [1, 2] has 2 coordinates in dimension 1"),
+], ids=["negative-width", "short-depths", "2d-centre-in-3d", "singular-lattice",
+        "2d-mode-in-1d"])
+def test_bad_model_value_exits_2(tmp_path, capsys, name, old, new, fragment):
+    text = bundled_config_path(name).read_text()
+    assert old in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(old, new))
+    out = tmp_path / "never"
+    code = main(["scf", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert fragment in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["free1d", "si1d", "rhf1d", "tiny3d"])
 def test_bundled_config_has_no_dead_keys(name):
     # every key a shipped file sets reaches the run's identity, except the
@@ -328,6 +356,17 @@ def test_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
+def test_linalg_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("eigenvalue algorithm did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", broken)
+    code = main(["scf", "--config", "free1d", "--out", str(tmp_path / "e")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: eigenvalue algorithm did not converge\n"
 
 
 def test_sweep_failure_keeps_later_betas(tmp_path, capsys, monkeypatch):
@@ -408,3 +447,33 @@ def test_installed_console_script_smoke(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert_scf_smoke(proc, out)
+
+
+# every subcommand on every bundled config exits 0, except free1d quasi-opt,
+# whose ratio (about 1e38) fails the bound
+COMMAND_OUTPUTS = {
+    "scf": "scf_summary.json",
+    "sweep": "sweep_beta*.json",
+    "response": "response_audit.json",
+    "audit-xc": "xc_audit.json",
+    "quasi-opt": "quasi_opt.json",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OUTPUTS))
+@pytest.mark.parametrize("name", ["free1d", "si1d", "rhf1d", "tiny3d"])
+def test_every_subcommand_on_every_bundled_config(tmp_path, capsys, name, command):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(bundled_config_path(name).read_text().replace(
+        "[sweep]", "[sweep]\ntiming = off"))
+    out = tmp_path / "run"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    if (name, command) == ("free1d", "quasi-opt"):
+        assert code == 1
+        assert err.startswith("error: quasi-optimality fails") and err.count("\n") == 1
+    else:
+        assert code == 0
+        assert err == ""
+    # each bundled config sweeps three betas
+    assert len(list(out.glob(COMMAND_OUTPUTS[command]))) == (3 if command == "sweep" else 1)

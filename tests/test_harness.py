@@ -35,6 +35,13 @@ cutoff = 8.0
 """
 
 
+def test_run_single_solves_the_model_built_at_load():
+    cfg = RunConfig.from_file("si1d")
+    state = run_single(cfg)
+    assert state.external is cfg.external and state.xc is cfg.xc
+    assert state.basis.cell is cfg.cell
+
+
 def free_particle_free_energy(cutoff, beta, n_electrons=2.0):
     """Smeared free energy of free 1d electrons on a 2 pi cell, by direct
     enumeration of the modes |n|^2 / 2 <= cutoff and bisection on mu."""

@@ -252,6 +252,20 @@ def test_kernel_potential_matches_hartree_without_xc(ctx_rhf1d):
     )
 
 
+def test_kernel_product_is_real_for_hermitian_tangents(ctx_si1d):
+    psi = random_hermitian(ctx_si1d.n_states, seed=46)
+    rho = ctx_si1d.pair_density(psi)
+    assert rho.dtype == np.float64
+    assert ctx_si1d.kernel_potential(rho).dtype == np.float64
+
+
+def test_apply_chi_rejects_non_hermitian_tangent(ctx_si1d):
+    psi = random_hermitian(ctx_si1d.n_states, seed=47)
+    psi[0, 1] += 1e-3
+    with pytest.raises(ValueError, match="Hermitian"):
+        apply_chi(ctx_si1d, psi)
+
+
 def test_rhf_quadratic_form_nonpositive(ctx_rhf1d):
     for seed in range(20):
         psi = random_hermitian(ctx_rhf1d.n_states, seed=100 + seed)

@@ -135,7 +135,7 @@ def test_fixed_point_map_assembles_once_while_growing(monkeypatch):
 
     monkeypatch.setattr(scf, "lowest_eigenpairs", spy)
     gamma, _, _ = fixed_point_map(
-        rho0, cfg.build_external(), cfg.build_xc(), cfg.build_smearing(),
+        rho0, cfg.external, cfg.xc, cfg.build_smearing(),
         cfg.n_electrons,
     )
     sizes = [m for m, _ in calls]
@@ -166,7 +166,7 @@ def test_run_scf_computes_one_density_per_iteration(monkeypatch):
     monkeypatch.setattr(scf, "density", counted)
     cfg = RunConfig.from_file("si1d")
     state = run_scf(
-        cfg.build_basis(), cfg.build_external(), cfg.build_xc(),
+        cfg.build_basis(), cfg.external, cfg.xc,
         cfg.build_smearing(), cfg.n_electrons, hartree_on=cfg.hartree_on,
         tol_rho=cfg.tol_rho, tol_f=cfg.tol_f, max_iter=cfg.max_iter,
     )
@@ -244,7 +244,7 @@ def test_fixed_point_map_trace_and_density():
         basis, np.full(basis.fft_shape, cfg.n_electrons / basis.cell.volume)
     )
     gamma, mu, rho = fixed_point_map(
-        rho0, cfg.build_external(), cfg.build_xc(), cfg.build_smearing(),
+        rho0, cfg.external, cfg.xc, cfg.build_smearing(),
         cfg.n_electrons,
     )
     assert abs(gamma.trace() - cfg.n_electrons) <= 1e-12 * cfg.n_electrons
@@ -384,10 +384,10 @@ def test_scf_failure_paths():
         tol_rho=cfg.tol_rho, tol_f=cfg.tol_f, max_iter=3,
     )
     with pytest.raises(ScfError, match="no convergence"):
-        run_scf(basis, cfg.build_external(), cfg.build_xc(),
+        run_scf(basis, cfg.external, cfg.xc,
                 cfg.build_smearing(), cfg.n_electrons, **kwargs)
     state = run_scf(
-        basis, cfg.build_external(), cfg.build_xc(), cfg.build_smearing(),
+        basis, cfg.external, cfg.xc, cfg.build_smearing(),
         cfg.n_electrons, raise_on_failure=False, **kwargs,
     )
     assert not state.converged
