@@ -33,6 +33,7 @@ __all__ = [
     "l2_inner",
     "transfer",
     "project",
+    "resample",
 ]
 
 
@@ -359,3 +360,21 @@ def project(u: GridFunction, target: PlaneWaveBasis) -> GridFunction:
             f"target cutoff {target.cutoff} exceeds source cutoff {src.cutoff}"
         )
     return _resample(u, target, target.g_int)
+
+
+def resample(u: GridFunction, target: PlaneWaveBasis) -> GridFunction:
+    """Real part of ``u`` carried onto the target grid, in either direction.
+
+    Keeps every plain Fourier mode that both grids hold symmetrically,
+    |n_k| <= (N_k - 1) // 2 for the smaller N_k of each axis, so the
+    G = 0 mode (and with it the integral) survives and real input stays
+    real; every other target mode is zero.  Used to start an SCF on one
+    grid from a density converged on another.
+    """
+    src = u.basis
+    if target.cell != src.cell:
+        raise ValueError("resampling requires identical cells")
+    half = [(min(ns, nt) - 1) // 2 for ns, nt in zip(src.fft_shape, target.fft_shape)]
+    mesh = np.meshgrid(*(np.arange(-h, h + 1) for h in half), indexing="ij")
+    modes = np.stack(mesh, axis=-1).reshape(-1, src.cell.dimension)
+    return GridFunction(target, _resample(u, target, modes).values.real)

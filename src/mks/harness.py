@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .cell import l2_norm, transfer
+from .cell import l2_norm, resample, transfer
 from .config import ConfigError, RunConfig
 from .density_matrix import embed_dm, mode_positions, project_dm, s11_distance
 from .response import ResponseContext, audit_a4
@@ -42,14 +42,18 @@ CSV_COLUMNS = [
 
 
 def run_single(config: RunConfig, cutoff=None, beta=None,
-               tighten: float = 1.0) -> ScfState:
+               tighten: float = 1.0, initial_rho=None) -> ScfState:
     """One SCF solve for the configured model at the given cutoff and beta.
 
     ``tighten`` scales the convergence tolerances (0.1 for reference runs,
-    which also get a doubled iteration budget).
+    which also get a doubled iteration budget).  ``initial_rho``, a density
+    on any basis of the same cell, is resampled onto this cutoff's grid and
+    starts the SCF; without it the start is the uniform density.
     """
     basis = config.build_basis(cutoff)
     max_iter = config.max_iter if tighten >= 1.0 else 2 * config.max_iter
+    if initial_rho is not None:
+        initial_rho = resample(initial_rho, basis)
     return run_scf(
         basis,
         config.external,
@@ -60,6 +64,7 @@ def run_single(config: RunConfig, cutoff=None, beta=None,
         tol_rho=config.tol_rho * tighten,
         tol_f=config.tol_f * tighten,
         max_iter=max_iter,
+        initial_rho=initial_rho,
     )
 
 
@@ -223,7 +228,9 @@ def run_sweep(config: RunConfig, cutoffs=None, reference=None,
     """Cutoff sweep against a tightened reference solve.
 
     The reference cutoff must be at least twice the largest swept cutoff;
-    rows come out in cutoff order.
+    rows come out in cutoff order.  Every swept SCF starts from the
+    reference density, which lies within the discretisation error of each
+    swept ground state.
     """
     cutoffs, reference = _sweep_inputs(config, cutoffs, reference)
     beta = float(beta if beta is not None else config.beta)
@@ -233,7 +240,8 @@ def run_sweep(config: RunConfig, cutoffs=None, reference=None,
     rows = []
     for ec in cutoffs:
         start = time.perf_counter()
-        state = run_single(config, cutoff=ec, beta=beta)
+        state = run_single(config, cutoff=ec, beta=beta,
+                           initial_rho=ref_state.rho)
         wall = time.perf_counter() - start
         row = {"ec": ec, "wall_s": wall if config.timing else 0.0}
         row.update(_point_errors(state, ref_state))
@@ -262,7 +270,8 @@ def quasi_optimality(config: RunConfig, cutoffs=None, reference=None) -> dict:
 
     For each swept cutoff: ratio = ||Gamma_n - Gamma_ref||_S11 /
     ||Pi_n Gamma_ref - Gamma_ref||_S11 (the sweep's ``_point_errors``), plus
-    the occupied orbital-error constant with phases aligned by overlap.  The
+    the occupied orbital-error constant with phases aligned by overlap.
+    Swept SCFs start from the reference density, as in ``run_sweep``.  The
     ratio must stay below the configured bound and must not trend upward:
     its maximum over the finer half must not exceed 1.25x the maximum over
     the coarser half.
@@ -274,7 +283,7 @@ def quasi_optimality(config: RunConfig, cutoffs=None, reference=None) -> dict:
 
     ratios, constants = [], []
     for ec in cutoffs:
-        state = run_single(config, cutoff=ec)
+        state = run_single(config, cutoff=ec, initial_rho=ref.rho)
         ratios.append(_point_errors(state, ref)["ratio"])
 
         pos = mode_positions(state.basis, ref_basis)

@@ -9,6 +9,8 @@ threshold.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import lobpcg
@@ -126,6 +128,7 @@ def lowest_eigenpairs(ham: Hamiltonian, m: int):
     basis = ham.basis
     if not 0 < m <= basis.size:
         raise ValueError(f"need 1 <= m <= {basis.size}, got {m}")
+    note = ""
     if basis.size <= DENSE_LIMIT or m > basis.size // 5 or m < 2:
         path = "dense"
         vals, vecs = scipy.linalg.eigh(ham.dense(), subset_by_index=[0, m - 1])
@@ -137,14 +140,20 @@ def lowest_eigenpairs(ham: Hamiltonian, m: int):
         )
         shift = max(1.0, -float(ham.v_values.min()))
         scale = 1.0 / (0.5 * basis.g_norm2 + shift)
-        vals, vecs = lobpcg(
-            ham.apply,
-            x0,
-            M=lambda x: scale[:, None] * x,
-            largest=False,
-            tol=RESIDUAL_TOL * 1e-2,
-            maxiter=600,
-        )
+        # scipy warns when it misses its own (tighter) tolerance; the
+        # residual check below is the verdict, and quotes the last warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            vals, vecs = lobpcg(
+                ham.apply,
+                x0,
+                M=lambda x: scale[:, None] * x,
+                largest=False,
+                tol=RESIDUAL_TOL * 1e-2,
+                maxiter=600,
+            )
+        if caught:
+            note = " (lobpcg: " + " ".join(str(caught[-1].message).split()) + ")"
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
 
@@ -154,6 +163,7 @@ def lowest_eigenpairs(ham: Hamiltonian, m: int):
     if worst > RESIDUAL_TOL * scale:
         raise EigensolverError(
             f"eigensolver residual {worst:.3e} above tolerance on path {path}"
+            + note
         )
     return np.asarray(vals, dtype=float), _fix_phases(np.asarray(vecs, dtype=complex))
 
@@ -189,10 +199,12 @@ def fixed_point_map(rho_in: GridFunction, external: ExternalPotential,
     occ = fermi_dirac(vals, mu, smearing)
     keep = int(np.count_nonzero(occ > OCC_TAIL)) + STATE_BUFFER
     keep = min(m, max(keep, int(np.floor(n_electrons)) + 1))
-    vals, vecs = vals[:keep], vecs[:, :keep]
-    # re-solve on the retained spectrum so the trace constraint holds exactly
-    mu = solve_mu(vals, n_electrons, smearing)
-    occ = fermi_dirac(vals, mu, smearing)
+    if keep < m:
+        # dropped states took their occupation with them: re-solve mu on
+        # the retained spectrum so the trace constraint holds exactly
+        vals, vecs = vals[:keep], vecs[:, :keep]
+        mu = solve_mu(vals, n_electrons, smearing)
+        occ = fermi_dirac(vals, mu, smearing)
     gamma = DensityMatrix(basis, vecs, occ, eigenvalues=vals)
     return gamma, mu, density(gamma)
 

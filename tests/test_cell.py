@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import converged_state
 from mks.cell import (
     Cell,
     GridFunction,
@@ -12,6 +13,7 @@ from mks.cell import (
     l2_inner,
     l2_norm,
     project,
+    resample,
     transfer,
 )
 
@@ -149,6 +151,33 @@ def test_project_is_orthogonal_truncation():
     assert l2_norm(pu) ** 2 + tail**2 == pytest.approx(l2_norm(u) ** 2, rel=1e-12)
     with pytest.raises(ValueError):
         project(pu, fine)
+
+
+@pytest.mark.parametrize("name, cutoffs", [("si1d", (6.0, 40.0)),
+                                           ("tiny3d", (2.0, 8.0))])
+def test_resample_keeps_the_shared_symmetric_modes(name, cutoffs):
+    state = converged_state(name)
+    rho, src = state.rho, state.basis
+    n = state.n_electrons
+    spec = src.fourier_coefficients(rho.values)
+    # the source holds N to solve_mu's tolerance; the resample keeps it
+    assert abs(rho.integral() - n) <= 1e-12 * n
+    for cutoff in cutoffs:
+        target = build_basis(src.cell, cutoff)
+        out = resample(rho, target)
+        assert out.basis is target
+        assert not np.iscomplexobj(out.values)
+        assert abs(out.integral() - rho.integral()) <= 1e-13 * n
+        half = [(min(a, b) - 1) // 2 for a, b in zip(src.fft_shape, target.fft_shape)]
+        shared = np.all(np.abs(target.grid_modes) <= half, axis=-1)
+        modes = target.grid_modes[shared]
+        got = target.fourier_coefficients(out.values)
+        scale = np.abs(spec).max()
+        np.testing.assert_allclose(got[shared], spec[src.grid_index(modes)],
+                                   rtol=0, atol=1e-14 * scale)
+        assert np.abs(got[~shared]).max(initial=0.0) <= 1e-14 * scale
+    with pytest.raises(ValueError, match="identical cells"):
+        resample(rho, build_basis(Cell(2.0 * src.cell.lattice), cutoffs[0]))
 
 
 def test_grid_mode_bookkeeping_consistent():

@@ -11,6 +11,8 @@ import pytest
 from scipy.special import xlogy
 
 from conftest import converged_state
+from mks import harness
+from mks.cell import l2_norm
 from mks.config import ConfigError, RunConfig
 from mks.density_matrix import DensityMatrix, s11_distance
 from mks.harness import (
@@ -211,6 +213,62 @@ def test_sweep_validation_errors():
         run_sweep(cfg, cutoffs=[2.0, 4.0])
     with pytest.raises(ConfigError, match="at least twice"):
         run_sweep(cfg, cutoffs=[2.0, 4.0], reference=6.0)
+
+
+def test_si1d_sweep_iterations_stay_low():
+    # swept SCFs start from the reference density: 131 iterations over
+    # the five cutoffs; cold starts from the uniform density took 266
+    sweep = run_sweep(RunConfig.from_file("si1d"), beta=400.0)
+    assert sum(row["scf_iters"] for row in sweep.rows) <= 150
+
+
+def spy_on_run_scf(monkeypatch):
+    calls = []
+    solve = harness.run_scf
+
+    def spy(basis, *args, initial_rho=None, **kwargs):
+        calls.append((basis, initial_rho))
+        return solve(basis, *args, initial_rho=initial_rho, **kwargs)
+
+    monkeypatch.setattr(harness, "run_scf", spy)
+    return calls
+
+
+@pytest.mark.parametrize("driver", [run_sweep, quasi_optimality])
+def test_swept_solves_start_from_the_reference_density(monkeypatch, driver):
+    cfg = RunConfig.from_file("si1d")
+    calls = spy_on_run_scf(monkeypatch)
+    driver(cfg, cutoffs=[2.0, 3.0, 4.0], reference=8.0)
+    (ref_basis, ref_start), *swept = calls
+    assert ref_basis.cutoff == 8.0 and ref_start is None
+    assert [basis.cutoff for basis, _ in swept] == [2.0, 3.0, 4.0]
+    for basis, start in swept:
+        assert start is not None and start.basis == basis
+
+
+@pytest.fixture(scope="module", params=[("si1d", 400.0), ("rhf1d", 4.0)],
+                ids=["si1d-beta400", "rhf1d-beta4"])
+def warm_and_cold(request):
+    name, beta = request.param
+    cfg = RunConfig.from_file(name)
+    ref = run_single(cfg, cutoff=cfg.sweep_reference, beta=beta, tighten=0.1)
+    pairs = [
+        (run_single(cfg, cutoff=ec, beta=beta, initial_rho=ref.rho),
+         run_single(cfg, cutoff=ec, beta=beta))
+        for ec in cfg.sweep_cutoffs
+    ]
+    return cfg, pairs
+
+
+def test_warm_and_cold_starts_reach_the_same_fixed_point(warm_and_cold):
+    cfg, pairs = warm_and_cold
+    for warm, cold in pairs:
+        assert warm.converged and cold.converged
+        assert warm.basis == cold.basis
+        gap = abs(warm.free_energy.total - cold.free_energy.total)
+        assert gap <= 10.0 * cfg.tol_f
+        assert l2_norm(warm.rho - cold.rho) <= 10.0 * cfg.tol_rho
+        assert s11_distance(warm.gamma, cold.gamma) <= 1e-9
 
 
 # -- quasi-optimality --------------------------------------------------------

@@ -1,5 +1,7 @@
 """Self-consistent field loop, eigensolvers, and optimality diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,7 +11,7 @@ from test_density_matrix import dense_from_projectors
 from mks import density_matrix, scf
 from mks.cell import Cell, GridFunction, build_basis, l2_norm
 from mks.config import RunConfig
-from mks.density_matrix import free_energy, perturb, rotate
+from mks.density_matrix import DensityMatrix, density, free_energy, perturb, rotate
 from mks.potentials import (
     ExternalPotential,
     assemble_effective,
@@ -228,6 +230,59 @@ def test_lowest_eigenpairs_iterative_matches_dense(monkeypatch):
     assert np.linalg.norm(resid, axis=0).max() < 1e-8 * max(1.0, np.abs(vals_d).max())
 
 
+def uniform_start_hamiltonian(cfg, cutoff):
+    basis = cfg.build_basis(cutoff)
+    rho0 = GridFunction(
+        basis, np.full(basis.fft_shape, cfg.n_electrons / basis.cell.volume)
+    )
+    terms = assemble_effective(rho0, cfg.external, cfg.xc,
+                               hartree_on=cfg.hartree_on)
+    return Hamiltonian(basis, terms.v_eff)
+
+
+def test_lobpcg_warnings_stay_inside_the_eigensolver(monkeypatch):
+    # 18 states of tiny3d at ec 10 (341 plane waves): scipy misses its own
+    # 1e-10 tolerance and warns, while the residual check passes
+    ham = uniform_start_hamiltonian(RunConfig.from_file("tiny3d"), 10.0)
+    emitted = []
+    solve = scf.lobpcg
+
+    def spy(*args, **kwargs):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = solve(*args, **kwargs)
+        emitted.extend(caught)
+        for w in caught:
+            warnings.warn(w.message)
+        return result
+
+    monkeypatch.setattr(scf, "DENSE_LIMIT", 0)
+    monkeypatch.setattr(scf, "lobpcg", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, _ = lowest_eigenpairs(ham, 18)
+    assert emitted and "requested tolerance" in str(emitted[-1].message)
+    vals_d, _ = scipy.linalg.eigh(ham.dense(), subset_by_index=[0, 17])
+    np.testing.assert_allclose(vals, vals_d, atol=1e-8)
+
+
+def test_lobpcg_failure_quotes_scipy_on_one_line(monkeypatch):
+    basis = build_basis(Cell(10.0), 60.0)
+    v = gaussian_wells([[3.0], [7.0]], [-2.5, -1.5], [0.6, 0.8]).evaluate(basis)
+    solve = scf.lobpcg
+    monkeypatch.setattr(scf, "DENSE_LIMIT", 0)
+    monkeypatch.setattr(scf, "lobpcg",
+                        lambda *a, **k: solve(*a, **{**k, "maxiter": 2}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EigensolverError) as info:
+            lowest_eigenpairs(Hamiltonian(basis, v), 6)
+    message = str(info.value)
+    assert message.startswith("eigensolver residual")
+    assert "(lobpcg: " in message and "requested tolerance" in message
+    assert "\n" not in message
+
+
 def test_lowest_eigenpairs_validation():
     basis = build_basis(Cell(10.0), 8.0)
     ham = Hamiltonian(basis, GridFunction(basis, np.zeros(basis.fft_shape)))
@@ -254,6 +309,66 @@ def test_fixed_point_map_trace_and_density():
     np.testing.assert_allclose(
         gamma.occupations, fermi_dirac(gamma.eigenvalues, mu, cfg.build_smearing())
     )
+
+
+def count_solves(monkeypatch):
+    """Spy on the map's eigensolves (with their sizes) and mu solves, in
+    call order."""
+    calls = []
+    eig, mu = scf.lowest_eigenpairs, scf.solve_mu
+
+    def eig_spy(ham, m):
+        calls.append(m)
+        return eig(ham, m)
+
+    def mu_spy(*args):
+        calls.append("mu")
+        return mu(*args)
+
+    monkeypatch.setattr(scf, "lowest_eigenpairs", eig_spy)
+    monkeypatch.setattr(scf, "solve_mu", mu_spy)
+    return calls
+
+
+def second_solve_oracle(gamma, n_electrons, smearing):
+    """(gamma, mu, rho) with mu solved again on the retained spectrum, as
+    the map did after every eigensolve before it skipped that repeat."""
+    mu = solve_mu(gamma.eigenvalues, n_electrons, smearing)
+    occ = fermi_dirac(gamma.eigenvalues, mu, smearing)
+    again = DensityMatrix(gamma.basis, gamma.orbitals, occ,
+                          eigenvalues=gamma.eigenvalues)
+    return again, mu, density(again)
+
+
+@pytest.mark.parametrize("name, full, solves", [
+    ("si1d", False, [12, "mu"]),
+    ("tiny3d", False, [10, "mu", 18, "mu", 27, "mu"]),
+    ("si1d", True, [21, "mu", "mu"]),
+], ids=["si1d", "tiny3d-growing", "si1d-states-dropped"])
+def test_fixed_point_map_solves_mu_again_only_after_dropping(
+        monkeypatch, name, full, solves):
+    # from the uniform density at the bundled beta: si1d keeps its default
+    # block of 12 whole, tiny3d grows its block to 27 and keeps it, and a
+    # block of all 21 si1d plane waves is cut to 13
+    cfg = RunConfig.from_file(name)
+    basis = cfg.build_basis()
+    smearing = cfg.build_smearing()
+    rho0 = GridFunction(
+        basis, np.full(basis.fft_shape, cfg.n_electrons / basis.cell.volume)
+    )
+    calls = count_solves(monkeypatch)
+    gamma, mu, rho = fixed_point_map(
+        rho0, cfg.external, cfg.xc, smearing, cfg.n_electrons,
+        n_states=basis.size if full else None,
+    )
+    assert calls == solves
+    last_block = [c for c in calls if c != "mu"][-1]
+    assert (gamma.n_states < last_block) == full
+    monkeypatch.undo()
+    oracle, mu_o, rho_o = second_solve_oracle(gamma, cfg.n_electrons, smearing)
+    assert mu == mu_o
+    assert np.array_equal(gamma.occupations, oracle.occupations)
+    assert np.array_equal(rho.values, rho_o.values)
 
 
 def test_fixed_point_map_rejects_overfull_basis():
