@@ -4,7 +4,10 @@ The discrete problem is a fixed point of rho -> density(f_mu(H(rho))) with
 the chemical potential mu always re-solved so that the occupation sum equals
 the electron count.  Eigenpairs come from a dense solver on small bases and
 from a preconditioned block-iterative solver (LOBPCG) above a size
-threshold.
+threshold.  The dense solver works in real arithmetic: the basis is closed
+under G -> -G and the potential is real, so in the basis {sqrt2 cos(G.r),
+sqrt2 sin(G.r), 1} every H is real symmetric (the Gamma-point trick of
+plane-wave codes, Kresse & Furthmueller 1996).
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ __all__ = [
 ]
 
 # a full tiny3d SCF on 2 cores is faster dense at 3119 plane waves and
-# faster on LOBPCG at 3743 (the table is in CHANGES.md)
+# faster on LOBPCG at 3743 (the table is in CHANGES.md); both were measured
+# with the complex dense solver; the real one is about 2-3x cheaper per
+# solve, so the crossover wants re-measuring
 DENSE_LIMIT = 3119
 OCC_TAIL = 1e-12
 STATE_BUFFER = 8
@@ -118,12 +123,52 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return vecs * scale
 
 
+def _real_form(h: np.ndarray) -> np.ndarray:
+    """U^H H U for the dense H, with U the cos/sin basis of the G -> -G pairs.
+
+    The basis is sorted lexicographically and closed under negation, so the
+    partner of index i is n - 1 - i and G = 0 sits at k = n // 2.  Columns
+    of U: u_i = (e_i + e_i')/sqrt2, w_i = i (e_i - e_i')/sqrt2 for i < k,
+    then e_k.  With A = H[:k, :k] and B_ij = H[i, j'] (symmetric, since
+    both entries are vhat(G_i + G_j)), a real potential makes the result
+    real, and it is exactly symmetric because dense() is exactly Hermitian.
+    """
+    n = h.shape[0]
+    k = n // 2
+    a = h[:k, :k]
+    b = h[:k, ::-1][:, :k]
+    cross = b.imag - a.imag
+    edge = np.sqrt(2.0) * h[k, :k]
+    hr = np.empty((n, n))
+    hr[:k, :k] = a.real + b.real
+    hr[k:-1, k:-1] = a.real - b.real
+    hr[:k, k:-1] = cross
+    hr[k:-1, :k] = cross.T
+    hr[-1, :k] = hr[:k, -1] = edge.real
+    hr[-1, k:-1] = hr[k:-1, -1] = -edge.imag
+    hr[-1, -1] = h[k, k].real
+    return hr
+
+
+def _from_real_form(x: np.ndarray) -> np.ndarray:
+    """Plane-wave coefficients U x of real vectors x in the cos/sin basis."""
+    n = x.shape[0]
+    k = n // 2
+    head = (x[:k] + 1j * x[k:-1]) / np.sqrt(2.0)
+    vecs = np.empty(x.shape, dtype=complex)
+    vecs[:k] = head
+    vecs[k] = x[-1]
+    vecs[k + 1:] = head[::-1].conj()
+    return vecs
+
+
 def lowest_eigenpairs(ham: Hamiltonian, m: int):
     """Lowest m eigenpairs of H, ascending, with residuals below RESIDUAL_TOL.
 
     Bases up to DENSE_LIMIT plane waves are solved densely, and so is any
-    block wider than a fifth of the basis; larger bases go to LOBPCG from
-    a fixed random start block.
+    block wider than a fifth of the basis: LAPACK's real symmetric eigh
+    (only the m wanted pairs) on H in the cos/sin basis, mapped back to
+    plane waves.  Larger bases go to LOBPCG from a fixed random start block.
     """
     basis = ham.basis
     if not 0 < m <= basis.size:
@@ -131,7 +176,9 @@ def lowest_eigenpairs(ham: Hamiltonian, m: int):
     note = ""
     if basis.size <= DENSE_LIMIT or m > basis.size // 5 or m < 2:
         path = "dense"
-        vals, vecs = scipy.linalg.eigh(ham.dense(), subset_by_index=[0, m - 1])
+        vals, x = scipy.linalg.eigh(_real_form(ham.dense()),
+                                    subset_by_index=[0, m - 1])
+        vecs = _from_real_form(x)
     else:
         path = "iterative"
         rng = np.random.default_rng(LOBPCG_SEED)

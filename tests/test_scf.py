@@ -77,11 +77,15 @@ def state_hamiltonian(state):
     return Hamiltonian(state.basis, terms.v_eff)
 
 
-@pytest.mark.parametrize("lattice, cutoff", [
+# a 1d, a skewed 2d and a 3d basis
+LATTICE_CASES = [
     (10.0, 8.0),
     ([[6.0, 0.0], [1.5, 5.0]], 3.0),
     (6.0 * np.eye(3), 4.0),
-], ids=["1d", "2d", "3d"])
+]
+
+
+@pytest.mark.parametrize("lattice, cutoff", LATTICE_CASES, ids=["1d", "2d", "3d"])
 def test_hamiltonian_dense_matches_per_axis_gather(lattice, cutoff):
     basis = build_basis(Cell(lattice), cutoff)
     d = basis.cell.dimension
@@ -99,18 +103,90 @@ def test_hamiltonian_dense_matches_per_axis_gather(lattice, cutoff):
     assert not h.flags.writeable
 
 
-@pytest.mark.parametrize("name", ["si1d", "tiny3d"])
+@pytest.mark.parametrize("lattice, cutoff", LATTICE_CASES, ids=["1d", "2d", "3d"])
+def test_basis_order_pairs_each_g_with_minus_g(lattice, cutoff):
+    basis = build_basis(Cell(lattice), cutoff)
+    assert basis.size % 2 == 1
+    assert np.array_equal(basis.g_int[::-1], -basis.g_int)
+    assert not basis.g_int[basis.size // 2].any()
+
+
+def cos_sin_basis(size):
+    """Columns (e_i + e_i')/sqrt2, i (e_i - e_i')/sqrt2 for i < size // 2
+    (i' = size - 1 - i), then e_{size // 2}: the real-form basis as a matrix."""
+    k = size // 2
+    u = np.zeros((size, size), dtype=complex)
+    for i in range(k):
+        u[i, i] = u[size - 1 - i, i] = 1.0 / np.sqrt(2.0)
+        u[i, k + i] = 1j / np.sqrt(2.0)
+        u[size - 1 - i, k + i] = -1j / np.sqrt(2.0)
+    u[k, -1] = 1.0
+    return u
+
+
+def real_form_cases():
+    """H of an off-centre well on each lattice case, then of each converged
+    bundled state."""
+    for lattice, cutoff in LATTICE_CASES:
+        basis = build_basis(Cell(lattice), cutoff)
+        d = basis.cell.dimension
+        centre = [[1.3, 2.2, 0.7][:d]]
+        yield Hamiltonian(basis, gaussian_wells(centre, [-2.0], [0.7]).evaluate(basis))
+    for name in BENCHMARKS:
+        yield state_hamiltonian(converged_state(name))
+
+
+def test_real_form_is_the_cos_sin_matrix_of_h():
+    complex_cases = 0
+    for ham in real_form_cases():
+        h = ham.dense()
+        complex_cases += np.abs(h.imag).max() > 1e-3
+        hr = scf._real_form(h)
+        assert hr.dtype == np.float64
+        assert np.array_equal(hr, hr.T)
+        u = cos_sin_basis(ham.basis.size)
+        oracle = u.conj().T @ h @ u
+        scale = np.abs(h).max()
+        assert np.abs(oracle.imag).max() <= 1e-13 * scale
+        assert np.abs(oracle.real - hr).max() <= 1e-13 * scale
+        _, x = scipy.linalg.eigh(hr)
+        vecs = scf._from_real_form(x)
+        np.testing.assert_allclose(vecs, u @ x, atol=1e-15)
+        gram = vecs.conj().T @ vecs
+        assert np.abs(gram - np.eye(ham.basis.size)).max() <= 1e-12
+    # the three off-centre wells and si1d/rhf1d give genuinely complex H
+    assert complex_cases == 5
+
+
+def test_dense_path_hands_lapack_a_real_matrix(monkeypatch):
+    seen = []
+    solve = scipy.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(scf.scipy.linalg, "eigh", spy)
+    ham = state_hamiltonian(converged_state("si1d"))
+    assert np.abs(ham.dense().imag).max() > 1e-3
+    vals, vecs = lowest_eigenpairs(ham, 5)
+    assert seen == [np.float64]
+    assert vecs.dtype == complex
+    assert np.abs(vecs.conj().T @ vecs - np.eye(5)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["free1d", "si1d", "tiny3d"])
 def test_dense_partial_eigensolve_matches_full_eigh(name):
     state = converged_state(name)
     ham = state_hamiltonian(state)
     size = state.basis.size
     full_vals, full_vecs = scipy.linalg.eigh(ham.dense())
     tol = 1e-12 * max(1.0, np.abs(full_vals).max())
-    # smallest m at or above the kept state count that ends on a spectral gap
-    m_gap = next(
-        m for m in range(state.gamma.n_states, size)
-        if full_vals[m] - full_vals[m - 1] > 1e-6
-    )
+    # smallest m at or above the kept state count that ends on a spectral
+    # gap; free1d keeps its whole basis, so there it is the largest gapped
+    # m (its cos/sin pairs are exactly degenerate)
+    gapped = [m for m in range(2, size) if full_vals[m] - full_vals[m - 1] > 1e-6]
+    m_gap = next((m for m in gapped if m >= state.gamma.n_states), gapped[-1])
     for m in (1, m_gap, size):
         vals, vecs = lowest_eigenpairs(ham, m)
         assert vals.shape == (m,)
