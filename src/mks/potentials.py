@@ -44,7 +44,9 @@ class ExternalPotential:
       exp(-|r - c|^2 / (2 w_c^2)), with analytically known Fourier
       coefficients (used both for synthesis and for projection-tail
       oracles),
-    * ``cosine_series``: sum_j amp_j cos(G_j . r) for integer modes n_j.
+    * ``cosine_series``: sum_j amp_j cos(G_j . r) for integer modes n_j;
+      a mode outside the FFT grid (|n_k| > (N_k - 1)//2 on some axis) is
+      dropped, as the Gaussian path drops its tail, instead of aliasing.
 
     The zero potential is ``ExternalPotential.zero()``.
     """
@@ -108,9 +110,11 @@ class ExternalPotential:
                 basis.grid_modes @ basis.cell.reciprocal, basis.cell
             )
             values = basis.fourier_values(spec).real
-        else:  # cosine_series
+        else:  # cosine_series, truncated to the modes the grid holds
             spec = np.zeros(basis.fft_shape, dtype=complex)
-            for mode, amp in zip(self.modes, self.amplitudes):
+            largest = (np.asarray(basis.fft_shape) - 1) // 2
+            fits = np.all(np.abs(self.modes) <= largest, axis=1)
+            for mode, amp in zip(self.modes[fits], self.amplitudes[fits]):
                 for sign in (1, -1):
                     spec[basis.grid_index(sign * mode)] += 0.5 * amp
             values = basis.fourier_values(spec).real

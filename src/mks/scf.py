@@ -247,8 +247,9 @@ def fixed_point_map(rho_in: GridFunction, external: ExternalPotential,
     keep = int(np.count_nonzero(occ > OCC_TAIL)) + STATE_BUFFER
     keep = min(m, max(keep, int(np.floor(n_electrons)) + 1))
     if keep < m:
-        # dropped states took their occupation with them: re-solve mu on
-        # the retained spectrum so the trace constraint holds exactly
+        # the dropped states carried up to OCC_TAIL of occupation each, far
+        # above the roundoff solve_mu meets: re-solve mu on the retained
+        # spectrum so Tr Gamma = N holds to roundoff
         vals, vecs = vals[:keep], vecs[:, :keep]
         mu = solve_mu(vals, n_electrons, smearing)
         occ = fermi_dirac(vals, mu, smearing)

@@ -53,16 +53,19 @@ def fermi_dirac_dmu(eigenvalues, mu, smearing: Smearing, convention: str = "pape
     raise ValueError(f"unknown convention {convention!r}")
 
 
-def _count(eigenvalues, mu, smearing):
-    return float(fermi_dirac(eigenvalues, mu, smearing).sum())
-
-
 def solve_mu(eigenvalues, n_electrons, smearing: Smearing) -> float:
-    """Find mu with sum_i f_i(mu) = N to |sum f - N| <= 1e-12 N.
+    """Find mu with S(mu) = sum_i f_i(mu) = N to roundoff.
 
-    Bracketed bisection from a seed interval [min eps - 10/beta,
-    max eps + 10/beta], widened if needed, followed by safeguarded Newton
-    once the bracket is narrow.
+    For m states the root lies in a closed-form bracket:
+    lo = min lambda - (ln(m/N) + 1)/beta gives S(lo) <= m/(1 + e m/N) < N,
+    and hi = max lambda + (|ln(N/(m-N))| + 1)/beta gives
+    S(hi) >= m/(1 + (m-N)/(e N)) > N.  Newton steps on S start at the
+    midpoint; each iterate replaces one end of the bracket, and a step that
+    leaves the bracket becomes a bisection.  The iteration stops when a
+    Newton step no longer moves mu (mu is then the nearest double to the
+    root of the linearised sum) or the bracket has collapsed to a few ulps.
+    It returns the iterate with the smallest |S - N| and raises only if that
+    is still above MU_TOL_REL N.
     """
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if eigenvalues.ndim != 1 or eigenvalues.size == 0:
@@ -74,53 +77,31 @@ def solve_mu(eigenvalues, n_electrons, smearing: Smearing) -> float:
             f"electron count {n_electrons} not strictly between 0 and {m} states"
         )
     beta = smearing.beta
-    tol = MU_TOL_REL * n_electrons
+    lo = float(eigenvalues.min() - (np.log(m / n_electrons) + 1.0) / beta)
+    hi = float(eigenvalues.max()
+               + (abs(np.log(n_electrons / (m - n_electrons))) + 1.0) / beta)
 
-    margin = 10.0 / beta
-    lo = float(eigenvalues.min()) - margin
-    hi = float(eigenvalues.max()) + margin
-    while _count(eigenvalues, lo, smearing) > n_electrons:
-        lo -= margin
-        margin *= 2.0
-    margin = 10.0 / beta
-    while _count(eigenvalues, hi, smearing) < n_electrons:
-        hi += margin
-        margin *= 2.0
-
-    # bisection until the bracket is O(1), cheap and globally safe
-    while hi - lo > 1.0:
-        mid = 0.5 * (lo + hi)
-        if _count(eigenvalues, mid, smearing) < n_electrons:
-            lo = mid
-        else:
-            hi = mid
-
-    mu = 0.5 * (lo + hi)
+    mu = best_mu = 0.5 * (lo + hi)
+    best = np.inf
     for _ in range(200):
         f = fermi_dirac(eigenvalues, mu, smearing)
         resid = float(f.sum()) - n_electrons
-        if abs(resid) <= tol:
-            return mu
+        if abs(resid) < best:
+            best_mu, best = mu, abs(resid)
         if resid < 0.0:
             lo = mu
         else:
             hi = mu
-        slope = float(beta * np.sum(f * (1.0 - f)))
-        if slope > 0.0:
-            step = mu - resid / slope
-        else:
-            step = 0.5 * (lo + hi)
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        if hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(mu)):
+        slope = float(beta * (f * (1.0 - f)).sum())
+        step = mu - resid / slope if slope > 0.0 else 0.5 * (lo + hi)
+        if step == mu or hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(mu)):
             break
-        mu = step
-    resid = _count(eigenvalues, mu, smearing) - n_electrons
-    if abs(resid) > tol:
+        mu = step if lo < step < hi else 0.5 * (lo + hi)
+    if best > MU_TOL_REL * n_electrons:
         raise RuntimeError(
-            f"chemical potential iteration stalled, |residual| = {abs(resid):.3e}"
+            f"chemical potential iteration stalled, |residual| = {best:.3e}"
         )
-    return mu
+    return best_mu
 
 
 def entropy(occupations, smearing: Smearing) -> float:

@@ -426,17 +426,21 @@ def test_console_script_smoke(tmp_path):
         f"func = EntryPoint('mks', {value!r}, 'console_scripts').load()\n"
         "sys.exit(func())\n"
     )
-    package_root = str(Path(mks.__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [package_root, inherited] if inherited else [package_root]
-    ))
     out = tmp_path / "sub"
     proc = subprocess.run(
         [sys.executable, "-c", launcher, *SMOKE_ARGS, str(out)],
-        capture_output=True, text=True, timeout=120, env=env,
+        capture_output=True, text=True, timeout=120, env=child_env(),
     )
     assert_scf_smoke(proc, out)
+
+
+def child_env():
+    """Environment in which a child Python imports the same `mks`."""
+    package_root = str(Path(mks.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root, inherited] if inherited else [package_root]
+    ))
 
 
 @pytest.mark.skipif(shutil.which("mks") is None, reason="no mks executable on PATH")
@@ -450,7 +454,7 @@ def test_installed_console_script_smoke(tmp_path):
 
 
 # every subcommand on every bundled config exits 0, except free1d quasi-opt,
-# whose ratio (about 1e38) fails the bound
+# whose ratios (at most 7.8) stay within the bound but rise with the cutoff
 COMMAND_OUTPUTS = {
     "scf": "scf_summary.json",
     "sweep": "sweep_beta*.json",
@@ -477,3 +481,29 @@ def test_every_subcommand_on_every_bundled_config(tmp_path, capsys, name, comman
         assert err == ""
     # each bundled config sweeps three betas
     assert len(list(out.glob(COMMAND_OUTPUTS[command]))) == (3 if command == "sweep" else 1)
+
+
+# the public scipy subpackages a full si1d run loads; importing
+# scipy.optimize as well adds about 12 MiB to the peak RSS of a process that
+# has imported mks
+SCIPY_SUBPACKAGES = {"fft", "linalg", "sparse", "special", "version"}
+
+
+def test_subcommands_load_only_the_needed_scipy_subpackages(tmp_path):
+    script = (
+        "import sys\n"
+        "from mks.cli import main\n"
+        "for command in ('scf', 'sweep', 'response', 'audit-xc', 'quasi-opt'):\n"
+        f"    out = {str(tmp_path)!r} + '/' + command\n"
+        "    assert main([command, '--config', 'si1d', '--out', out]) == 0\n"
+        "print(' '.join(sorted({name.split('.')[1] for name in sys.modules\n"
+        "                       if name.startswith('scipy.')})))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=300, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1].split()
+    public = {name for name in loaded if not name.startswith("_")}
+    assert public <= SCIPY_SUBPACKAGES, sorted(public - SCIPY_SUBPACKAGES)

@@ -149,6 +149,16 @@ def test_sweep_rows_match_closed_form(free1d_sweep):
         assert row["scf_iters"] <= 3
 
 
+@pytest.mark.parametrize("beta", [20.0, 200.0])
+def test_free1d_sweep_ratios_are_one(beta):
+    # every swept free-particle state is the projection of the reference
+    # state, so its S^{1,1} error is the projection error unless the two
+    # solves put mu on different doubles
+    sweep = run_sweep(RunConfig.from_file("free1d"), beta=beta)
+    for row in sweep.rows:
+        assert row["ratio"] == pytest.approx(1.0, abs=1e-9), row["ec"]
+
+
 def test_sweep_fit_presence_follows_the_floor(free1d_sweep):
     # every truncation error of this model sits below 10x the energy
     # tolerance at beta = 10, so no decay fit is possible

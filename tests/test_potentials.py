@@ -23,6 +23,7 @@ from mks.potentials import (
     power_law_xc,
     xc_eval,
 )
+from mks.scf import Hamiltonian
 
 
 def gaussian_image_sum(points, centers, depths, widths, length, reps=4):
@@ -76,6 +77,20 @@ def test_cosine_series_evaluates_pointwise():
         pts @ (np.array([2, 1]) @ b)
     )
     np.testing.assert_allclose(pot.evaluate(basis).values, oracle, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", [3, 9])
+def test_cosine_series_hamiltonian_is_the_galerkin_matrix(mode):
+    # 2 pi cell at ec 2: G in {-2, ..., 2} on a 9-point grid.  cos(9x) does
+    # not fit on the grid, where wrapping would alias it onto the constant 1
+    basis = build_basis(Cell(2.0 * np.pi), 2.0)
+    assert basis.fft_shape == (9,)
+    amp = 0.7
+    ham = Hamiltonian(basis, cosine_series([[mode]], [amp]).evaluate(basis))
+    g = basis.g_int[:, 0]
+    coupled = np.abs(g[:, None] - g[None, :]) == mode
+    oracle = np.diag(0.5 * basis.g_norm2) + 0.5 * amp * coupled
+    np.testing.assert_allclose(ham.dense(), oracle, atol=1e-14)
 
 
 def test_zero_potential():

@@ -5,7 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from mks.smearing import Smearing, entropy, fermi_dirac, fermi_dirac_dmu, solve_mu
+from mks.smearing import (
+    MU_TOL_REL,
+    Smearing,
+    entropy,
+    fermi_dirac,
+    fermi_dirac_dmu,
+    solve_mu,
+)
 
 # f ln f + (1-f) ln(1-f) at f = 1/4, i.e. entropy * beta for one state
 ENTROPY_QUARTER = 0.25 * np.log(0.25) + 0.75 * np.log(0.75)
@@ -87,7 +94,9 @@ def test_solve_mu_matches_bisection_oracle(beta):
     lam = np.sort(rng.normal(size=12))
     sm = Smearing(beta)
     mu = solve_mu(lam, 3.0, sm)
-    assert abs(float(fermi_dirac(lam, mu, sm).sum()) - 3.0) <= 1e-12 * 3.0
+    # exact to the roundoff of the occupation sum
+    roundoff = lam.size * np.finfo(float).eps * 3.0
+    assert abs(float(fermi_dirac(lam, mu, sm).sum()) - 3.0) <= roundoff
     # independent occupation formula at the returned mu
     with np.errstate(over="ignore"):
         count = float(np.sum(1.0 / (1.0 + np.exp(beta * (lam - mu)))))
@@ -96,6 +105,21 @@ def test_solve_mu_matches_bisection_oracle(beta):
         # the root is unique at these temperatures; at beta = 400 the
         # occupation sum is flat across the gap and any mu inside works
         assert mu == pytest.approx(_solve_mu_oracle(lam, 3.0, beta), abs=1e-9)
+
+
+def test_solve_mu_stress_grid():
+    # electron counts next to 0 and next to m, equal and spread spectra,
+    # from nearly infinite temperature up to beta = 1e3; above that adjacent
+    # doubles of mu can move the sum by more than MU_TOL_REL N
+    rng = np.random.default_rng(0)
+    for beta in 10.0 ** np.arange(-3, 4):
+        sm = Smearing(beta)
+        for m in range(1, 41):
+            for lam in (np.sort(rng.normal(size=m)), np.full(m, 0.37)):
+                for n in (1e-9, 0.3, m / 2, m - 0.3, m - 1e-9):
+                    mu = solve_mu(lam, n, sm)
+                    resid = float(fermi_dirac(lam, mu, sm).sum()) - n
+                    assert abs(resid) <= MU_TOL_REL * n, (beta, m, n)
 
 
 def test_solve_mu_input_validation():
