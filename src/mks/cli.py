@@ -39,15 +39,18 @@ def _parser() -> argparse.ArgumentParser:
                        help="print a machine-readable summary to stdout")
         p.add_argument("--out", default=None, help="output directory")
 
+    def add_sweep(p):
+        add_common(p)
+        p.add_argument("--cutoffs", default=None,
+                       help="comma-separated cutoff list, overrides the config")
+        p.add_argument("--reference", type=float, default=None,
+                       help="reference cutoff, overrides the config")
+
     p_scf = sub.add_parser("scf", help="one self-consistent solve")
     add_common(p_scf)
 
     p_sweep = sub.add_parser("sweep", help="cutoff-convergence sweep")
-    add_common(p_sweep)
-    p_sweep.add_argument("--cutoffs", default=None,
-                         help="comma-separated cutoff list, overrides the config")
-    p_sweep.add_argument("--reference", type=float, default=None,
-                         help="reference cutoff, overrides the config")
+    add_sweep(p_sweep)
 
     p_resp = sub.add_parser("response", help="Jacobian positivity (A4) audit")
     add_common(p_resp)
@@ -56,9 +59,7 @@ def _parser() -> argparse.ArgumentParser:
     add_common(p_xc)
 
     p_qo = sub.add_parser("quasi-opt", help="quasi-optimality ratio sweep")
-    add_common(p_qo)
-    p_qo.add_argument("--cutoffs", default=None)
-    p_qo.add_argument("--reference", type=float, default=None)
+    add_sweep(p_qo)
 
     return parser
 

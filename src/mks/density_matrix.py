@@ -117,23 +117,13 @@ def mode_positions(sub: PlaneWaveBasis, sup: PlaneWaveBasis) -> np.ndarray:
     """Positions of sub's G-vectors inside sup's G-list (sub must nest)."""
     if sub.cell != sup.cell:
         raise ValueError("bases live on different cells")
-
-    def keys(basis_int, shape):
-        wrapped = np.mod(basis_int, shape)
-        return np.ravel_multi_index(tuple(wrapped.T), shape)
-
-    # keyspace large enough for both mode sets, so wraparound cannot collide
-    max_coord = max(int(np.abs(sup.g_int).max()), int(np.abs(sub.g_int).max()))
-    shape = tuple(2 * max_coord + 1 for _ in range(sup.cell.dimension))
-    sup_keys = keys(sup.g_int, shape)
-    sub_keys = keys(sub.g_int, shape)
-    order = np.argsort(sup_keys)
-    pos = np.searchsorted(sup_keys, sub_keys, sorter=order)
-    if pos.max(initial=-1) >= sup.size or np.any(
-        sup_keys[order[pos]] != sub_keys
-    ):
+    # sup's FFT grid holds every sup mode without collision (>= 4m+1 per axis)
+    table = np.full(sup.fft_shape, -1)
+    table[sup.grid_index(sup.g_int)] = np.arange(sup.size)
+    pos = table[sup.grid_index(sub.g_int)]
+    if np.any(pos < 0) or np.any(sup.g_int[pos] != sub.g_int):
         raise ValueError("sub basis is not contained in the super basis")
-    return order[pos]
+    return pos
 
 
 def embed_dm(gamma: DensityMatrix, target: PlaneWaveBasis) -> DensityMatrix:

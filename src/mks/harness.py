@@ -3,7 +3,10 @@
 Runs a cutoff sweep against a tightened reference solution, reports per-point
 errors (free energy, density L2, exact density-matrix S^{1,1}, projection
 tail), fits exponential/algebraic decay models to the error curves, and
-checks the quasi-optimality ratio of the Galerkin solutions.
+checks the quasi-optimality ratio of the Galerkin solutions.  Both the
+sweep and the quasi-optimality check take their states from one engine,
+``_swept_solves``, so the quasi-optimality ratios are the sweep's
+``ratio`` column.
 """
 
 from __future__ import annotations
@@ -223,28 +226,34 @@ class SweepResult:
         }
 
 
+def _swept_solves(config, cutoffs, reference, beta):
+    """Validated cutoffs and reference, the tightened reference state, and a
+    (state, wall_s) pair per swept cutoff.  Every swept SCF starts from the
+    reference density, which lies within the discretisation error of each
+    swept ground state."""
+    cutoffs, reference = _sweep_inputs(config, cutoffs, reference)
+    ref = run_single(config, cutoff=reference, beta=beta, tighten=0.1)
+    swept = []
+    for ec in cutoffs:
+        start = time.perf_counter()
+        state = run_single(config, cutoff=ec, beta=beta, initial_rho=ref.rho)
+        swept.append((state, time.perf_counter() - start))
+    return cutoffs, reference, ref, swept
+
+
 def run_sweep(config: RunConfig, cutoffs=None, reference=None,
               beta=None) -> SweepResult:
     """Cutoff sweep against a tightened reference solve.
 
     The reference cutoff must be at least twice the largest swept cutoff;
-    rows come out in cutoff order.  Every swept SCF starts from the
-    reference density, which lies within the discretisation error of each
-    swept ground state.
+    rows come out in cutoff order.
     """
-    cutoffs, reference = _sweep_inputs(config, cutoffs, reference)
     beta = float(beta if beta is not None else config.beta)
-
-    ref_state = run_single(config, cutoff=reference, beta=beta, tighten=0.1)
-
+    cutoffs, reference, ref, swept = _swept_solves(config, cutoffs, reference, beta)
     rows = []
-    for ec in cutoffs:
-        start = time.perf_counter()
-        state = run_single(config, cutoff=ec, beta=beta,
-                           initial_rho=ref_state.rho)
-        wall = time.perf_counter() - start
+    for ec, (state, wall) in zip(cutoffs, swept):
         row = {"ec": ec, "wall_s": wall if config.timing else 0.0}
-        row.update(_point_errors(state, ref_state))
+        row.update(_point_errors(state, ref))
         rows.append(row)
 
     def try_fit(key, floor):
@@ -255,10 +264,8 @@ def run_sweep(config: RunConfig, cutoffs=None, reference=None,
 
     energy_fit = try_fit("f_err", 10.0 * config.tol_f)
     density_fit = try_fit("rho_l2_err", 10.0 * config.tol_rho)
-    a4 = audit_a4(ResponseContext(ref_state, g_sign=config.g_sign))
-    return SweepResult(
-        config, beta, reference, ref_state, rows, energy_fit, density_fit, a4
-    )
+    a4 = audit_a4(ResponseContext(ref, g_sign=config.g_sign))
+    return SweepResult(config, beta, reference, ref, rows, energy_fit, density_fit, a4)
 
 
 def _h1_norm_coeffs(basis, coeffs) -> float:
@@ -271,19 +278,20 @@ def quasi_optimality(config: RunConfig, cutoffs=None, reference=None) -> dict:
     For each swept cutoff: ratio = ||Gamma_n - Gamma_ref||_S11 /
     ||Pi_n Gamma_ref - Gamma_ref||_S11 (the sweep's ``_point_errors``), plus
     the occupied orbital-error constant with phases aligned by overlap.
-    Swept SCFs start from the reference density, as in ``run_sweep``.  The
-    ratio must stay below the configured bound and must not trend upward:
-    its maximum over the finer half must not exceed 1.25x the maximum over
-    the coarser half.
+    The states are the sweep's own swept solves at the configured beta, so
+    the ratios are its ``ratio`` column; no A4 audit or decay fit is run.
+    The ratio must stay below the configured bound and must not trend
+    upward: its maximum over the finer half must not exceed 1.25x the
+    maximum over the coarser half.
     """
-    cutoffs, reference = _sweep_inputs(config, cutoffs, reference)
-    ref = run_single(config, cutoff=reference, tighten=0.1)
+    cutoffs, reference, ref, swept = _swept_solves(
+        config, cutoffs, reference, config.beta
+    )
     ref_basis = ref.basis
     n_occ = int(round(config.n_electrons))
 
     ratios, constants = [], []
-    for ec in cutoffs:
-        state = run_single(config, cutoff=ec, initial_rho=ref.rho)
+    for state, _ in swept:
         ratios.append(_point_errors(state, ref)["ratio"])
 
         pos = mode_positions(state.basis, ref_basis)

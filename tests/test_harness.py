@@ -246,14 +246,20 @@ def spy_on_run_scf(monkeypatch):
 
 @pytest.mark.parametrize("driver", [run_sweep, quasi_optimality])
 def test_swept_solves_start_from_the_reference_density(monkeypatch, driver):
+    # both drivers share the swept solves; only the sweep audits A4
     cfg = RunConfig.from_file("si1d")
     calls = spy_on_run_scf(monkeypatch)
+    audits = []
+    audit = harness.audit_a4
+    monkeypatch.setattr(harness, "audit_a4",
+                        lambda ctx: audits.append(ctx) or audit(ctx))
     driver(cfg, cutoffs=[2.0, 3.0, 4.0], reference=8.0)
     (ref_basis, ref_start), *swept = calls
     assert ref_basis.cutoff == 8.0 and ref_start is None
     assert [basis.cutoff for basis, _ in swept] == [2.0, 3.0, 4.0]
     for basis, start in swept:
         assert start is not None and start.basis == basis
+    assert len(audits) == (1 if driver is run_sweep else 0)
 
 
 @pytest.fixture(scope="module", params=[("si1d", 400.0), ("rhf1d", 4.0)],
