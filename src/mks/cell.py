@@ -161,7 +161,8 @@ class PlaneWaveBasis:
 
         ``fourier_coefficients(v).ravel()[difference_index]`` is the dense
         matrix of the multiplication by v.  It takes 4 size^2 bytes, so
-        callers bound ``size`` before touching it.
+        callers bound ``size`` before touching it (``Hamiltonian.dense``
+        refuses bases above ``scf.DENSE_MAX_PLANE_WAVES``).
         """
         g = self.g_int.astype(np.int32)
         flat = np.zeros((self.size, self.size), dtype=np.int32)

@@ -2,21 +2,19 @@
 
 The discrete problem is a fixed point of rho -> density(f_mu(H(rho))) with
 the chemical potential mu always re-solved so that the occupation sum equals
-the electron count.  Eigenpairs come from a dense solver on small bases and
-from a preconditioned block-iterative solver (LOBPCG) above a size
-threshold.  The dense solver works in real arithmetic: the basis is closed
-under G -> -G and the potential is real, so in the basis {sqrt2 cos(G.r),
-sqrt2 sin(G.r), 1} every H is real symmetric (the Gamma-point trick of
-plane-wave codes, Kresse & Furthmueller 1996).
+the electron count.  Eigenpairs come from one dense solver in real
+arithmetic: the basis is closed under G -> -G and the potential is real, so
+in the basis {sqrt2 cos(G.r), sqrt2 sin(G.r), 1} every H is real symmetric
+(the Gamma-point trick of plane-wave codes, Kresse & Furthmueller 1996).
+Bases above DENSE_MAX_PLANE_WAVES are refused with EigensolverError.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import lobpcg
+# not called here: bound only so that perfbench/tracing.py can wrap it
+from scipy.sparse.linalg import lobpcg  # noqa: F401
 
 from .cell import GridFunction, PlaneWaveBasis, l2_norm
 from .density_matrix import (
@@ -42,15 +40,12 @@ __all__ = [
     "gamma_overlap_distance",
 ]
 
-# a full tiny3d SCF on 2 cores is faster dense at 3119 plane waves and
-# faster on LOBPCG at 3743 (the table is in CHANGES.md); both were measured
-# with the complex dense solver; the real one is about 2-3x cheaper per
-# solve, so the crossover wants re-measuring
-DENSE_LIMIT = 3119
+# the complex H, its real form and the int32 difference table take
+# 28 npw^2 bytes, about 470 MB at this size
+DENSE_MAX_PLANE_WAVES = 4096
 OCC_TAIL = 1e-12
 STATE_BUFFER = 8
 RESIDUAL_TOL = 1e-8
-LOBPCG_SEED = 7
 MIXING_ALPHA = 0.5
 ANDERSON_WINDOW = 5
 
@@ -103,13 +98,16 @@ class Hamiltonian:
         """
         if self._dense is None:
             basis = self.basis
-            if basis.size > 4096:
+            npw = basis.size
+            if npw > DENSE_MAX_PLANE_WAVES:
                 raise EigensolverError(
-                    f"refusing dense assembly for {basis.size} plane waves"
+                    f"{npw} plane waves exceed the dense limit of "
+                    f"{DENSE_MAX_PLANE_WAVES}: H, its real form and the index "
+                    f"table would take {28 * npw**2 / 1e6:.0f} MB"
                 )
             vhat = basis.fourier_coefficients(self.v_values).ravel()
             h = vhat[basis.difference_index]
-            h[np.diag_indices(basis.size)] += 0.5 * basis.g_norm2
+            h[np.diag_indices(npw)] += 0.5 * basis.g_norm2
             h.flags.writeable = False
             self._dense = h
         return self._dense
@@ -165,54 +163,22 @@ def _from_real_form(x: np.ndarray) -> np.ndarray:
 def lowest_eigenpairs(ham: Hamiltonian, m: int):
     """Lowest m eigenpairs of H, ascending, with residuals below RESIDUAL_TOL.
 
-    Bases up to DENSE_LIMIT plane waves are solved densely, and so is any
-    block wider than a fifth of the basis: LAPACK's real symmetric eigh
-    (only the m wanted pairs) on H in the cos/sin basis, mapped back to
-    plane waves.  Larger bases go to LOBPCG from a fixed random start block.
+    LAPACK's real symmetric eigh (only the m wanted pairs) on H in the
+    cos/sin basis, mapped back to plane waves.  The residual is taken with
+    the FFT operator ham.apply, so it also checks dense() against it.
     """
     basis = ham.basis
     if not 0 < m <= basis.size:
         raise ValueError(f"need 1 <= m <= {basis.size}, got {m}")
-    note = ""
-    if basis.size <= DENSE_LIMIT or m > basis.size // 5 or m < 2:
-        path = "dense"
-        vals, x = scipy.linalg.eigh(_real_form(ham.dense()),
-                                    subset_by_index=[0, m - 1])
-        vecs = _from_real_form(x)
-    else:
-        path = "iterative"
-        rng = np.random.default_rng(LOBPCG_SEED)
-        x0 = rng.standard_normal((basis.size, m)) + 1j * rng.standard_normal(
-            (basis.size, m)
-        )
-        shift = max(1.0, -float(ham.v_values.min()))
-        scale = 1.0 / (0.5 * basis.g_norm2 + shift)
-        # scipy warns when it misses its own (tighter) tolerance; the
-        # residual check below is the verdict, and quotes the last warning
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            vals, vecs = lobpcg(
-                ham.apply,
-                x0,
-                M=lambda x: scale[:, None] * x,
-                largest=False,
-                tol=RESIDUAL_TOL * 1e-2,
-                maxiter=600,
-            )
-        if caught:
-            note = " (lobpcg: " + " ".join(str(caught[-1].message).split()) + ")"
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+    vals, x = scipy.linalg.eigh(_real_form(ham.dense()), subset_by_index=[0, m - 1])
+    vecs = _from_real_form(x)
 
     resid = ham.apply(vecs) - vecs * vals
     worst = float(np.linalg.norm(resid, axis=0).max())
     scale = max(1.0, float(np.abs(vals).max()))
     if worst > RESIDUAL_TOL * scale:
-        raise EigensolverError(
-            f"eigensolver residual {worst:.3e} above tolerance on path {path}"
-            + note
-        )
-    return np.asarray(vals, dtype=float), _fix_phases(np.asarray(vecs, dtype=complex))
+        raise EigensolverError(f"eigensolver residual {worst:.3e} above tolerance")
+    return vals, _fix_phases(vecs)
 
 
 def fixed_point_map(rho_in: GridFunction, external: ExternalPotential,

@@ -331,16 +331,20 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
-def test_scf_failure_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("old, new, fragment", [
+    ("max_iter = 200", "max_iter = 1", ""),
+    # 4899 plane waves, above the dense eigensolver's limit
+    ("cutoff = 8.0", "cutoff = 3000000.0", "dense limit of 4096"),
+], ids=["max-iter", "above-dense-limit"])
+def test_scf_failure_exits_1(tmp_path, capsys, old, new, fragment):
     cfg = tmp_path / "hopeless.cfg"
-    cfg.write_text(
-        bundled_config_path("free1d").read_text().replace(
-            "max_iter = 200", "max_iter = 1"
-        )
-    )
+    cfg.write_text(bundled_config_path("free1d").read_text().replace(old, new))
     code = main(["scf", "--config", str(cfg), "--out", str(tmp_path / "y")])
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and fragment in errors[0]
 
 
 def test_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,5 @@
 """Self-consistent field loop, eigensolvers, and optimality diagnostics."""
 
-import warnings
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -272,8 +270,10 @@ def test_hamiltonian_refuses_huge_dense_assembly():
     basis = build_basis(Cell(10.0), 3.4e6)
     assert basis.size > 4096
     ham = Hamiltonian(basis, GridFunction(basis, np.zeros(basis.fft_shape)))
-    with pytest.raises(EigensolverError):
+    with pytest.raises(EigensolverError, match="dense limit of 4096"):
         ham.dense()
+    with pytest.raises(EigensolverError, match="dense limit of 4096"):
+        lowest_eigenpairs(ham, 6)
 
 
 def test_lowest_eigenpairs_free_particle_exact():
@@ -283,80 +283,6 @@ def test_lowest_eigenpairs_free_particle_exact():
     np.testing.assert_allclose(vals, np.sort(0.5 * basis.g_norm2)[:7], atol=1e-12)
     overlap = vecs.conj().T @ vecs
     np.testing.assert_allclose(overlap, np.eye(7), atol=1e-12)
-
-
-def test_lowest_eigenpairs_iterative_matches_dense(monkeypatch):
-    basis = build_basis(Cell(10.0), 60.0)
-    v = gaussian_wells([[3.0], [7.0]], [-2.5, -1.5], [0.6, 0.8]).evaluate(basis)
-    ham = Hamiltonian(basis, v)
-    vals_d, _ = lowest_eigenpairs(ham, 6)
-    calls = []
-    solve = scf.lobpcg
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(scf, "DENSE_LIMIT", 0)
-    monkeypatch.setattr(scf, "lobpcg", spy)
-    vals_i, vecs_i = lowest_eigenpairs(ham, 6)
-    assert len(calls) == 1
-    np.testing.assert_allclose(vals_i, vals_d, atol=1e-8)
-    resid = ham.apply(vecs_i) - vecs_i * vals_i
-    assert np.linalg.norm(resid, axis=0).max() < 1e-8 * max(1.0, np.abs(vals_d).max())
-
-
-def uniform_start_hamiltonian(cfg, cutoff):
-    basis = cfg.build_basis(cutoff)
-    rho0 = GridFunction(
-        basis, np.full(basis.fft_shape, cfg.n_electrons / basis.cell.volume)
-    )
-    terms = assemble_effective(rho0, cfg.external, cfg.xc,
-                               hartree_on=cfg.hartree_on)
-    return Hamiltonian(basis, terms.v_eff)
-
-
-def test_lobpcg_warnings_stay_inside_the_eigensolver(monkeypatch):
-    # 18 states of tiny3d at ec 10 (341 plane waves): scipy misses its own
-    # 1e-10 tolerance and warns, while the residual check passes
-    ham = uniform_start_hamiltonian(RunConfig.from_file("tiny3d"), 10.0)
-    emitted = []
-    solve = scf.lobpcg
-
-    def spy(*args, **kwargs):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = solve(*args, **kwargs)
-        emitted.extend(caught)
-        for w in caught:
-            warnings.warn(w.message)
-        return result
-
-    monkeypatch.setattr(scf, "DENSE_LIMIT", 0)
-    monkeypatch.setattr(scf, "lobpcg", spy)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        vals, _ = lowest_eigenpairs(ham, 18)
-    assert emitted and "requested tolerance" in str(emitted[-1].message)
-    vals_d, _ = scipy.linalg.eigh(ham.dense(), subset_by_index=[0, 17])
-    np.testing.assert_allclose(vals, vals_d, atol=1e-8)
-
-
-def test_lobpcg_failure_quotes_scipy_on_one_line(monkeypatch):
-    basis = build_basis(Cell(10.0), 60.0)
-    v = gaussian_wells([[3.0], [7.0]], [-2.5, -1.5], [0.6, 0.8]).evaluate(basis)
-    solve = scf.lobpcg
-    monkeypatch.setattr(scf, "DENSE_LIMIT", 0)
-    monkeypatch.setattr(scf, "lobpcg",
-                        lambda *a, **k: solve(*a, **{**k, "maxiter": 2}))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(EigensolverError) as info:
-            lowest_eigenpairs(Hamiltonian(basis, v), 6)
-    message = str(info.value)
-    assert message.startswith("eigensolver residual")
-    assert "(lobpcg: " in message and "requested tolerance" in message
-    assert "\n" not in message
 
 
 def test_lowest_eigenpairs_validation():
