@@ -6,13 +6,15 @@ the electron count.  Eigenpairs come from one dense solver in real
 arithmetic: the basis is closed under G -> -G and the potential is real, so
 in the basis {sqrt2 cos(G.r), sqrt2 sin(G.r), 1} every H is real symmetric
 (the Gamma-point trick of plane-wave codes, Kresse & Furthmueller 1996).
-Bases above DENSE_MAX_PLANE_WAVES are refused with EigensolverError.
+That dense H, refused above DENSE_MAX_PLANE_WAVES with EigensolverError,
+is the only form of H here: residual checks and gradients multiply by it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas
 # not called here: bound only so that perfbench/tracing.py can wrap it
 from scipy.sparse.linalg import lobpcg  # noqa: F401
 
@@ -78,18 +80,9 @@ class Hamiltonian:
         self.v_values = values
         self._dense = None
 
-    def apply(self, block) -> np.ndarray:
-        """Apply H to one coefficient vector or a (size, k) block."""
-        basis = self.basis
-        block = np.asarray(block, dtype=complex)
-        single = block.ndim == 1
-        if single:
-            block = block[:, None]
-        grid = basis.to_grid(block.T)
-        grid *= self.v_values
-        pot = basis.from_grid(grid).T
-        out = 0.5 * basis.g_norm2[:, None] * block + pot
-        return out[:, 0] if single else out
+    def apply(self, block: np.ndarray) -> np.ndarray:
+        """H times a (size, k) block of coefficient vectors, with numpy's @."""
+        return self.dense() @ block
 
     def dense(self) -> np.ndarray:
         """The dense matrix H_GG' = |G|^2/2 delta + vhat(G - G').
@@ -165,15 +158,18 @@ def lowest_eigenpairs(ham: Hamiltonian, m: int):
 
     LAPACK's real symmetric eigh (only the m wanted pairs) on H in the
     cos/sin basis, mapped back to plane waves.  The residual is taken with
-    the FFT operator ham.apply, so it also checks dense() against it.
+    the complex dense(), so it also checks the real form and the map back.
     """
     basis = ham.basis
     if not 0 < m <= basis.size:
         raise ValueError(f"need 1 <= m <= {basis.size}, got {m}")
-    vals, x = scipy.linalg.eigh(_real_form(ham.dense()), subset_by_index=[0, m - 1])
+    h = ham.dense()
+    vals, x = scipy.linalg.eigh(_real_form(h), subset_by_index=[0, m - 1])
     vecs = _from_real_form(x)
 
-    resid = ham.apply(vecs) - vecs * vals
+    # scipy's BLAS pool, as its eigh: numpy's would spin on the cores eigh
+    # needs; h.T with trans_a=1 reads h in place, with no Fortran-order copy
+    resid = blas.zgemm(1.0, h.T, vecs, trans_a=1) - vecs * vals
     worst = float(np.linalg.norm(resid, axis=0).max())
     scale = max(1.0, float(np.abs(vals).max()))
     if worst > RESIDUAL_TOL * scale:
@@ -302,7 +298,7 @@ def fixed_point_residual(state: ScfState) -> float:
     """||f_mu(H(rho_Gamma)) - Gamma||_F at the converged density."""
     gamma = state.gamma
     out, _, _ = fixed_point_map(
-        density(gamma),
+        state.rho,
         state.external,
         state.xc,
         state.smearing,
@@ -405,8 +401,8 @@ def free_energy_gradient(gamma: DensityMatrix, external: ExternalPotential,
     rho = density(gamma)
     terms = assemble_effective(rho, external, xc, hartree_on=hartree_on)
     ham = Hamiltonian(gamma.basis, terms.v_eff)
-    h_orb = gamma.orbitals.conj().T @ ham.apply(gamma.orbitals)
+    # numpy's BLAS pool, as the response code after it: scipy's would spin there
+    grad = gamma.orbitals.conj().T @ ham.apply(gamma.orbitals)
     f = np.clip(gamma.occupations, 1e-300, 1.0 - 1e-16)
-    grad = h_orb.astype(complex)
     grad[np.diag_indices_from(grad)] += (np.log(f) - np.log1p(-f)) / smearing.beta
     return 0.5 * (grad + grad.conj().T)

@@ -64,8 +64,9 @@ def solve_mu(eigenvalues, n_electrons, smearing: Smearing) -> float:
     leaves the bracket becomes a bisection.  The iteration stops when a
     Newton step no longer moves mu (mu is then the nearest double to the
     root of the linearised sum) or the bracket has collapsed to a few ulps.
-    It returns the iterate with the smallest |S - N| and raises only if that
-    is still above MU_TOL_REL N.
+    It returns the iterate with the smallest |S - N|, and raises if that is
+    above MU_TOL_REL N unless the next double towards the root gives S - N
+    of the other sign (at large beta one ulp of mu can move S by more).
     """
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if eigenvalues.ndim != 1 or eigenvalues.size == 0:
@@ -86,8 +87,8 @@ def solve_mu(eigenvalues, n_electrons, smearing: Smearing) -> float:
     for _ in range(200):
         f = fermi_dirac(eigenvalues, mu, smearing)
         resid = float(f.sum()) - n_electrons
-        if abs(resid) < best:
-            best_mu, best = mu, abs(resid)
+        if abs(resid) < abs(best):
+            best_mu, best = mu, resid
         if resid < 0.0:
             lo = mu
         else:
@@ -97,10 +98,12 @@ def solve_mu(eigenvalues, n_electrons, smearing: Smearing) -> float:
         if step == mu or hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(mu)):
             break
         mu = step if lo < step < hi else 0.5 * (lo + hi)
-    if best > MU_TOL_REL * n_electrons:
-        raise RuntimeError(
-            f"chemical potential iteration stalled, |residual| = {best:.3e}"
-        )
+    if abs(best) > MU_TOL_REL * n_electrons:
+        across = np.nextafter(best_mu, -np.sign(best) * np.inf)
+        if (fermi_dirac(eigenvalues, across, smearing).sum() - n_electrons) * best > 0.0:
+            raise RuntimeError(
+                f"chemical potential iteration stalled, |residual| = {abs(best):.3e}"
+            )
     return best_mu
 
 

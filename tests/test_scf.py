@@ -7,15 +7,17 @@ import scipy.linalg
 from conftest import converged_state, random_density_matrix
 from test_density_matrix import dense_from_projectors
 from mks import density_matrix, scf
-from mks.cell import Cell, GridFunction, build_basis, l2_norm
+from mks.cell import Cell, GridFunction, PlaneWaveBasis, build_basis, l2_norm
 from mks.config import RunConfig
 from mks.density_matrix import DensityMatrix, density, free_energy, perturb, rotate
+from mks.harness import run_single
 from mks.potentials import (
     ExternalPotential,
     assemble_effective,
     gaussian_wells,
     null_xc,
 )
+from mks.response import ResponseContext, audit_a4, solve_jacobian
 from mks.scf import (
     EigensolverError,
     Hamiltonian,
@@ -51,18 +53,29 @@ def admissible_tangent(state, rng):
     return psi / np.linalg.norm(psi)
 
 
+def random_block(size, k=3, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((size, k)) + 1j * rng.standard_normal((size, k))
+
+
+def fft_apply(ham, block):
+    """H times a (size, k) block through the FFT grid: the kinetic term
+    |G|^2/2 on the coefficients plus v multiplied on the grid, the operator
+    dense() is checked against."""
+    basis = ham.basis
+    grid = basis.to_grid(block.T)
+    grid *= ham.v_values
+    return 0.5 * basis.g_norm2[:, None] * block + basis.from_grid(grid).T
+
+
 def test_hamiltonian_dense_matches_apply():
     basis = build_basis(Cell(10.0), 8.0)
     v = gaussian_wells([[3.0]], [-2.0], [0.7]).evaluate(basis)
     ham = Hamiltonian(basis, v)
     h = ham.dense()
     np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
-    rng = np.random.default_rng(0)
-    block = rng.standard_normal((basis.size, 3)) + 1j * rng.standard_normal(
-        (basis.size, 3)
-    )
-    np.testing.assert_allclose(ham.apply(block), h @ block, atol=1e-11)
-    np.testing.assert_allclose(ham.apply(block[:, 0]), h @ block[:, 0], atol=1e-11)
+    block = random_block(basis.size)
+    assert np.array_equal(ham.apply(block), h @ block)
     # diagonal carries the kinetic term plus the potential mean
     np.testing.assert_allclose(
         np.diag(h).real, 0.5 * basis.g_norm2 + v.values.mean(), atol=1e-12
@@ -134,6 +147,14 @@ def real_form_cases():
         yield state_hamiltonian(converged_state(name))
 
 
+def test_dense_hamiltonian_matches_fft_oracle():
+    for ham in real_form_cases():
+        h = ham.dense()
+        block = random_block(ham.basis.size)
+        scale = np.abs(h).max()
+        assert np.abs(fft_apply(ham, block) - h @ block).max() <= 1e-13 * scale
+
+
 def test_real_form_is_the_cos_sin_matrix_of_h():
     complex_cases = 0
     for ham in real_form_cases():
@@ -171,6 +192,24 @@ def test_dense_path_hands_lapack_a_real_matrix(monkeypatch):
     assert seen == [np.float64]
     assert vecs.dtype == complex
     assert np.abs(vecs.conj().T @ vecs - np.eye(5)).max() <= 1e-12
+
+
+def test_residual_check_catches_a_wrong_partner_map(monkeypatch):
+    from_real_form = scf._from_real_form
+
+    def swapped(x):
+        # pairs index i with k + 1 + i instead of its partner n - 1 - i
+        vecs = from_real_form(x)
+        k = x.shape[0] // 2
+        vecs[k + 1:] = vecs[:k].conj()
+        return vecs
+
+    ham = state_hamiltonian(converged_state("si1d"))
+    assert np.abs(ham.dense().imag).max() > 1e-3
+    lowest_eigenpairs(ham, 5)
+    monkeypatch.setattr(scf, "_from_real_form", swapped)
+    with pytest.raises(EigensolverError, match="residual"):
+        lowest_eigenpairs(ham, 5)
 
 
 @pytest.mark.parametrize("name", ["free1d", "si1d", "tiny3d"])
@@ -246,8 +285,8 @@ def test_run_scf_computes_one_density_per_iteration(monkeypatch):
         cfg.build_smearing(), cfg.n_electrons, hartree_on=cfg.hartree_on,
         tol_rho=cfg.tol_rho, tol_f=cfg.tol_f, max_iter=cfg.max_iter,
     )
-    # one per map, plus the input and output of the final residual check
-    assert len(calls) == state.iterations + 2
+    # one per map, plus the output of the final residual check
+    assert len(calls) == state.iterations + 1
 
 
 def test_tiny3d_converges_within_fifteen_iterations():
@@ -273,7 +312,29 @@ def test_hamiltonian_refuses_huge_dense_assembly():
     with pytest.raises(EigensolverError, match="dense limit of 4096"):
         ham.dense()
     with pytest.raises(EigensolverError, match="dense limit of 4096"):
+        ham.apply(np.zeros((basis.size, 1), dtype=complex))
+    with pytest.raises(EigensolverError, match="dense limit of 4096"):
         lowest_eigenpairs(ham, 6)
+
+
+def test_no_src_path_applies_h_through_ffts(monkeypatch):
+    def refuse(self, values):
+        raise AssertionError("H applied through from_grid")
+
+    reference = converged_state("tiny3d")
+    monkeypatch.setattr(PlaneWaveBasis, "from_grid", refuse)
+    state = run_single(RunConfig.from_file("tiny3d"))
+    assert state.converged
+    assert state.free_energy.total == pytest.approx(
+        reference.free_energy.total, abs=1e-12
+    )
+    grad = free_energy_gradient(state.gamma, state.external, state.xc,
+                                state.smearing, hartree_on=state.hartree_on)
+    assert np.isfinite(grad).all()
+    ctx = ResponseContext(state)
+    assert np.isfinite(audit_a4(ctx)["lambda_min"])
+    out = solve_jacobian(ctx, np.eye(ctx.n_states), 0.1)
+    assert np.isfinite(out.matrix).all()
 
 
 def test_lowest_eigenpairs_free_particle_exact():

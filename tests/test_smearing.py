@@ -107,19 +107,57 @@ def test_solve_mu_matches_bisection_oracle(beta):
         assert mu == pytest.approx(_solve_mu_oracle(lam, 3.0, beta), abs=1e-9)
 
 
-def test_solve_mu_stress_grid():
-    # electron counts next to 0 and next to m, equal and spread spectra,
-    # from nearly infinite temperature up to beta = 1e3; above that adjacent
-    # doubles of mu can move the sum by more than MU_TOL_REL N
-    rng = np.random.default_rng(0)
-    for beta in 10.0 ** np.arange(-3, 4):
+def stress_grid(betas, seed):
+    """Electron counts next to 0 and next to m, equal and spread spectra."""
+    rng = np.random.default_rng(seed)
+    for beta in betas:
         sm = Smearing(beta)
         for m in range(1, 41):
             for lam in (np.sort(rng.normal(size=m)), np.full(m, 0.37)):
                 for n in (1e-9, 0.3, m / 2, m - 0.3, m - 1e-9):
-                    mu = solve_mu(lam, n, sm)
-                    resid = float(fermi_dirac(lam, mu, sm).sum()) - n
-                    assert abs(resid) <= MU_TOL_REL * n, (beta, m, n)
+                    yield lam, n, sm
+
+
+def test_solve_mu_stress_grid():
+    # from nearly infinite temperature up to beta = 1e3; above that adjacent
+    # doubles of mu can move the sum by more than MU_TOL_REL N
+    for lam, n, sm in stress_grid(10.0 ** np.arange(-3, 4), seed=0):
+        mu = solve_mu(lam, n, sm)
+        resid = float(fermi_dirac(lam, mu, sm).sum()) - n
+        assert abs(resid) <= MU_TOL_REL * n, (sm.beta, lam.size, n)
+
+
+def straddles_at_nearest_double(lam, n, mu, sm):
+    """True when S(mu) - N and S at the next double towards the root have
+    opposite signs, and no neighbouring double has a smaller |S - N|."""
+    def resid(x):
+        return float(fermi_dirac(lam, x, sm).sum()) - n
+
+    r = resid(mu)
+    below, above = (resid(np.nextafter(mu, d)) for d in (-np.inf, np.inf))
+    across = above if r < 0.0 else below
+    return r * across <= 0.0 and abs(r) <= min(abs(below), abs(above))
+
+
+def test_solve_mu_returns_the_nearest_double_past_the_tolerance():
+    # one ulp of mu moves S by 4.7e-11 here, so no double meets
+    # MU_TOL_REL N = 3e-13: the closest one is returned, not a stall
+    lam = np.linspace(-1.0, 1.0, 12)
+    sm = Smearing(1e6)
+    mu = solve_mu(lam, 0.3, sm)
+    assert mu == -1.0000008472978603
+    resid = float(fermi_dirac(lam, mu, sm).sum()) - 0.3
+    assert MU_TOL_REL * 0.3 < abs(resid) < 2e-11
+    assert straddles_at_nearest_double(lam, 0.3, mu, sm)
+
+
+def test_solve_mu_stress_grid_at_low_temperature():
+    # each solve meets MU_TOL_REL N or returns the double nearest the root
+    for lam, n, sm in stress_grid((1e4, 1e5, 1e6), seed=1):
+        mu = solve_mu(lam, n, sm)
+        resid = float(fermi_dirac(lam, mu, sm).sum()) - n
+        assert (abs(resid) <= MU_TOL_REL * n
+                or straddles_at_nearest_double(lam, n, mu, sm)), (sm.beta, lam.size, n)
 
 
 def test_solve_mu_input_validation():
