@@ -11,11 +11,7 @@ from .cell import (
     GridFunction,
     PlaneWaveBasis,
     build_basis,
-    h1_norm,
-    l2_inner,
     l2_norm,
-    project,
-    transfer,
 )
 from .config import ConfigError, RunConfig
 from .density_matrix import (

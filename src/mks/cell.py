@@ -8,9 +8,12 @@ Conventions used throughout the package:
   and integrals are FFT-grid trapezoid sums, exact for represented modes,
 * orbitals use orthonormal coefficients of e_G(r) = |Omega|^(-1/2)
   exp(i G.r), so Parseval holds without volume factors (``to_grid``,
-  ``from_grid``, ``grid_spectrum``); potentials and densities use plain
-  Fourier series v(r) = sum_G vhat(G) exp(i G.r) (``fourier_coefficients``,
-  ``fourier_values``).
+  ``from_grid``); potentials and densities use plain Fourier series
+  v(r) = sum_G vhat(G) exp(i G.r) (``fourier_coefficients``,
+  ``fourier_values``),
+* a ``GridFunction`` holds a real field (a density or a potential) and
+  refuses complex samples; orbitals on the grid are plain complex arrays,
+* ``resample`` is the one way a field moves to another basis' grid.
 
 Every transform in the package goes through ``PlaneWaveBasis``, on the
 trailing axes of its input, so a block of orbitals is one call.
@@ -29,10 +32,6 @@ __all__ = [
     "GridFunction",
     "build_basis",
     "l2_norm",
-    "h1_norm",
-    "l2_inner",
-    "transfer",
-    "project",
     "resample",
 ]
 
@@ -53,6 +52,8 @@ class Cell:
             lattice = np.diag(lattice)
         if lattice.ndim != 2 or lattice.shape[0] != lattice.shape[1]:
             raise ValueError(f"lattice must be square, got shape {lattice.shape}")
+        if not np.isfinite(lattice).all():
+            raise ValueError("lattice vectors must be finite")
         d = lattice.shape[0]
         if d not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2, or 3, got {d}")
@@ -184,53 +185,44 @@ class PlaneWaveBasis:
 
     # -- transforms ------------------------------------------------------
 
-    def to_grid(self, coefficients):
+    def to_grid(self, coefficients) -> np.ndarray:
         """Synthesize ``sum_G c_G e_G`` on the FFT grid.
 
-        One coefficient vector gives a GridFunction; a block of shape
-        (k, size) gives the sample array (k, *fft_shape).  The transform is
-        unitary with respect to the coefficient l2 norm and the grid
-        quadrature.
+        Coefficients of shape (..., size) give complex samples of shape
+        (..., *fft_shape).  The transform is unitary with respect to the
+        coefficient l2 norm and the grid quadrature.
         """
         coefficients = np.asarray(coefficients)
         if coefficients.shape[-1:] != (self.size,):
             raise ValueError(
                 f"expected {self.size} coefficients, got shape {coefficients.shape}"
             )
-        batch = coefficients.shape[:-1]
-        spec = np.zeros(batch + self.fft_shape, dtype=complex)
+        spec = np.zeros(coefficients.shape[:-1] + self.fft_shape, dtype=complex)
         spec[(Ellipsis,) + self._grid_index] = coefficients
         values = ifftn(spec, axes=self._grid_axes)
         values *= self.n_grid / np.sqrt(self.cell.volume)
-        return values if batch else GridFunction(self, values)
+        return values
 
     def from_grid(self, values) -> np.ndarray:
         """Extract basis coefficients from grid samples (inverse of to_grid
         on the represented subspace); leading axes are kept."""
-        if isinstance(values, GridFunction):
-            if values.basis is not self and values.basis != self:
-                raise ValueError("grid function belongs to a different basis")
-            values = values.values
         values = np.asarray(values)
         if values.shape[-len(self.fft_shape):] != self.fft_shape:
             raise ValueError(
                 f"expected grid shape {self.fft_shape}, got {values.shape}"
             )
-        return self.grid_spectrum(values)[(Ellipsis,) + self._grid_index]
-
-    def grid_spectrum(self, values) -> np.ndarray:
-        """Orthonormal-convention coefficients of every FFT-grid mode."""
-        values = np.asarray(values)
         spec = fftn(values, axes=self._grid_axes)
-        return spec * (np.sqrt(self.cell.volume) / self.n_grid)
+        spec *= np.sqrt(self.cell.volume) / self.n_grid
+        return spec[(Ellipsis,) + self._grid_index]
 
     def fourier_coefficients(self, values) -> np.ndarray:
         """Plain Fourier-series coefficients vhat(G) of grid samples."""
         return fftn(values, axes=self._grid_axes) / self.n_grid
 
     def fourier_values(self, coefficients) -> np.ndarray:
-        """Grid samples of sum_G vhat(G) exp(i G.r) (complex)."""
-        return ifftn(coefficients, axes=self._grid_axes) * self.n_grid
+        """Real grid samples of sum_G vhat(G) exp(i G.r); the imaginary
+        part, roundoff for the Hermitian vhat of a real field, is dropped."""
+        return ifftn(coefficients, axes=self._grid_axes).real * self.n_grid
 
     def kinetic(self) -> np.ndarray:
         """Diagonal of -Laplacian/2 in the basis, i.e. |G|^2 / 2."""
@@ -259,7 +251,7 @@ def build_basis(cell: Cell, cutoff: float) -> PlaneWaveBasis:
 
 
 class GridFunction:
-    """Samples of a periodic function on a basis' FFT grid."""
+    """Samples of a real periodic field on a basis' FFT grid."""
 
     __slots__ = ("basis", "values")
 
@@ -269,13 +261,14 @@ class GridFunction:
             raise ValueError(
                 f"values shape {values.shape} does not match grid {basis.fft_shape}"
             )
+        if np.iscomplexobj(values):
+            raise ValueError("a grid function holds a real field, got complex values")
         self.basis = basis
         self.values = values
 
-    def integral(self) -> complex:
+    def integral(self) -> float:
         """Trapezoid integral over the cell."""
-        total = self.values.sum() * self.basis.quadrature_weight
-        return total
+        return float(self.values.sum() * self.basis.quadrature_weight)
 
     def __add__(self, other):
         self._check(other)
@@ -304,73 +297,18 @@ class GridFunction:
 def l2_norm(u: GridFunction) -> float:
     """L2 norm over the cell (grid quadrature, = Parseval over grid modes)."""
     w = u.basis.quadrature_weight
-    return float(np.sqrt(w * np.vdot(u.values, u.values).real))
-
-
-def l2_inner(u: GridFunction, v: GridFunction) -> complex:
-    """L2 inner product <u, v> with the conjugate on the first slot."""
-    u._check(v)
-    return complex(u.basis.quadrature_weight * np.vdot(u.values, v.values))
-
-
-def h1_norm(u: GridFunction) -> float:
-    """H1 norm: sum over grid modes of (1 + |G|^2) |u_G|^2, square-rooted."""
-    spec = u.basis.grid_spectrum(u.values)
-    total = np.sum((1.0 + u.basis.grid_g2) * np.abs(spec) ** 2)
-    return float(np.sqrt(total))
-
-
-def _resample(u: GridFunction, target: PlaneWaveBasis, modes) -> GridFunction:
-    """Carry the plain Fourier coefficients of ``u`` at the integer
-    ``modes`` onto the target grid; every other target mode is zero."""
-    spec = u.basis.fourier_coefficients(u.values)
-    out = np.zeros(target.fft_shape, dtype=complex)
-    out[target.grid_index(modes)] = spec[u.basis.grid_index(modes)]
-    return GridFunction(target, target.fourier_values(out))
-
-
-def transfer(u: GridFunction, target: PlaneWaveBasis) -> GridFunction:
-    """Re-express ``u`` on a finer basis' grid, preserving every mode.
-
-    The target grid must contain the source grid modes (componentwise
-    fft_shape >= source), which holds whenever target.cutoff >= source cutoff
-    on the same cell.
-    """
-    src = u.basis
-    if target.cell != src.cell:
-        raise ValueError("transfer requires identical cells")
-    if any(nt < ns for nt, ns in zip(target.fft_shape, src.fft_shape)):
-        raise ValueError("target grid cannot represent all source modes")
-    if target.fft_shape == src.fft_shape:
-        return GridFunction(target, u.values.copy())
-    return _resample(u, target, src.grid_modes.reshape(-1, src.cell.dimension))
-
-
-def project(u: GridFunction, target: PlaneWaveBasis) -> GridFunction:
-    """Fourier truncation onto the target basis ball.
-
-    Zeroes every coefficient with |G|^2 > 2 E_c(target) and returns the
-    result on the target grid.  This is simultaneously the L2- and the
-    H1-orthogonal projection onto the target space.
-    """
-    src = u.basis
-    if target.cell != src.cell:
-        raise ValueError("projection requires identical cells")
-    if target.cutoff > src.cutoff:
-        raise ValueError(
-            f"target cutoff {target.cutoff} exceeds source cutoff {src.cutoff}"
-        )
-    return _resample(u, target, target.g_int)
+    return float(np.sqrt(w * np.vdot(u.values, u.values)))
 
 
 def resample(u: GridFunction, target: PlaneWaveBasis) -> GridFunction:
-    """Real part of ``u`` carried onto the target grid, in either direction.
+    """``u`` carried onto the target grid, in either direction.
 
     Keeps every plain Fourier mode that both grids hold symmetrically,
     |n_k| <= (N_k - 1) // 2 for the smaller N_k of each axis, so the
-    G = 0 mode (and with it the integral) survives and real input stays
-    real; every other target mode is zero.  Used to start an SCF on one
-    grid from a density converged on another.
+    G = 0 mode (and with it the integral) survives and the field stays
+    real; every other target mode is zero.  A density of a basis has
+    modes up to 2 max|n_k| on a grid of at least 4 max|n_k| + 1 points,
+    so moving it to a grid at least as fine keeps all of it.
     """
     src = u.basis
     if target.cell != src.cell:
@@ -378,4 +316,7 @@ def resample(u: GridFunction, target: PlaneWaveBasis) -> GridFunction:
     half = [(min(ns, nt) - 1) // 2 for ns, nt in zip(src.fft_shape, target.fft_shape)]
     mesh = np.meshgrid(*(np.arange(-h, h + 1) for h in half), indexing="ij")
     modes = np.stack(mesh, axis=-1).reshape(-1, src.cell.dimension)
-    return GridFunction(target, _resample(u, target, modes).values.real)
+    spec = src.fourier_coefficients(u.values)
+    out = np.zeros(target.fft_shape, dtype=complex)
+    out[target.grid_index(modes)] = spec[src.grid_index(modes)]
+    return GridFunction(target, target.fourier_values(out))

@@ -124,6 +124,14 @@ class RunConfig:
             raise ConfigError(f"{self.origin}: missing [{section}] {key}")
         return parser.get(section, key, fallback=fallback)
 
+    def _positive(self, key, value):
+        """``value``, or a ConfigError unless it is positive and finite."""
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(
+                f"{self.origin}: {key} must be positive and finite, got {value:g}"
+            )
+        return value
+
     def _rows(self, parser, key, kind):
         """[potential] key as rows of ``dimension`` coordinates each."""
         rows = [[kind(c) for c in row]
@@ -159,12 +167,7 @@ class RunConfig:
 
         for key in ("n_electrons", "beta", "cutoff"):
             value = float(self._get(p, "system", key))
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(
-                    f"{self.origin}: {key} must be positive and finite, "
-                    f"got {value:g}"
-                )
-            setattr(self, key, value)
+            setattr(self, key, self._positive(key, value))
 
         kind = self._get(p, "potential", "kind", "zero").strip()
         if kind == "zero":
@@ -194,9 +197,14 @@ class RunConfig:
         self.xc = _XC[self.xc_name]()
         self.hartree_on = _bool(self._get(p, "xc", "hartree", "on"), "hartree")
 
-        self.tol_rho = float(self._get(p, "scf", "tol_rho", "1e-8"))
-        self.tol_f = float(self._get(p, "scf", "tol_f", "1e-10"))
+        for key, fallback in (("tol_rho", "1e-8"), ("tol_f", "1e-10")):
+            value = float(self._get(p, "scf", key, fallback))
+            setattr(self, key, self._positive(key, value))
         self.max_iter = int(self._get(p, "scf", "max_iter", "200"))
+        if self.max_iter < 1:
+            raise ConfigError(
+                f"{self.origin}: max_iter must be at least 1, got {self.max_iter}"
+            )
 
         self.g_sign = self._get(p, "response", "g_sign", "paper").strip()
         if self.g_sign not in ("paper", "analytic"):
@@ -208,7 +216,11 @@ class RunConfig:
         self.sweep_reference = float(ref_text) if ref_text.strip() else None
         betas_text = self._get(p, "sweep", "betas", "")
         self.sweep_betas = _floats(betas_text) if betas_text.strip() else [self.beta]
-        self.quasi_opt_bound = float(self._get(p, "sweep", "quasi_opt_bound", "50"))
+        for beta in self.sweep_betas:
+            self._positive("betas", beta)
+        self.quasi_opt_bound = self._positive(
+            "quasi_opt_bound", float(self._get(p, "sweep", "quasi_opt_bound", "50"))
+        )
         self.timing = _bool(self._get(p, "sweep", "timing", "on"), "timing")
 
         self.out_dir = self._get(p, "output", "out_dir", "runs").strip()

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .cell import l2_norm, resample, transfer
+from .cell import l2_norm, resample
 from .config import ConfigError, RunConfig
 from .density_matrix import embed_dm, mode_positions, project_dm, s11_distance
 from .response import ResponseContext, audit_a4
@@ -93,7 +93,7 @@ def _sweep_inputs(config, cutoffs, reference):
 def _point_errors(state, ref):
     """Error measures of one swept state against the reference state; the
     S^{1,1} errors are exact distances on the reference basis."""
-    rho_err = l2_norm(transfer(state.rho, ref.basis) - ref.rho)
+    rho_err = l2_norm(resample(state.rho, ref.basis) - ref.rho)
     gamma_err = s11_distance(state.gamma, ref.gamma)
     proj = project_dm(ref.gamma, state.basis)
     proj_err = s11_distance(proj, ref.gamma)
@@ -268,7 +268,7 @@ def run_sweep(config: RunConfig, cutoffs=None, reference=None,
     return SweepResult(config, beta, reference, ref, rows, energy_fit, density_fit, a4)
 
 
-def _h1_norm_coeffs(basis, coeffs) -> float:
+def _h1_coeff_norm(basis, coeffs) -> float:
     return float(np.sqrt(np.sum((1.0 + basis.g_norm2) * np.abs(coeffs) ** 2)))
 
 
@@ -303,10 +303,10 @@ def quasi_optimality(config: RunConfig, cutoffs=None, reference=None) -> dict:
             overlap = np.vdot(phi_ref, phi_n)
             if abs(overlap) > 1e-14:
                 phi_n = phi_n * (np.conj(overlap) / abs(overlap))
-            num = max(num, _h1_norm_coeffs(ref_basis, phi_ref - phi_n))
+            num = max(num, _h1_coeff_norm(ref_basis, phi_ref - phi_n))
             tail = phi_ref.copy()
             tail[pos] = 0.0
-            den = max(den, _h1_norm_coeffs(ref_basis, tail))
+            den = max(den, _h1_coeff_norm(ref_basis, tail))
         constants.append(num / den if den > 0 else float("inf"))
 
     half = max(1, len(ratios) // 2)

@@ -109,7 +109,7 @@ class ExternalPotential:
             spec = self.fourier_coefficient(
                 basis.grid_modes @ basis.cell.reciprocal, basis.cell
             )
-            values = basis.fourier_values(spec).real
+            values = basis.fourier_values(spec)
         else:  # cosine_series, truncated to the modes the grid holds
             spec = np.zeros(basis.fft_shape, dtype=complex)
             largest = (np.asarray(basis.fft_shape) - 1) // 2
@@ -117,7 +117,7 @@ class ExternalPotential:
             for mode, amp in zip(self.modes[fits], self.amplitudes[fits]):
                 for sign in (1, -1):
                     spec[basis.grid_index(sign * mode)] += 0.5 * amp
-            values = basis.fourier_values(spec).real
+            values = basis.fourier_values(spec)
         out = GridFunction(basis, values)
         self._cache[basis] = out
         return out
@@ -302,12 +302,12 @@ def audit_xc(xc: XcFunctional):
 
 
 def coulomb_solve(basis: PlaneWaveBasis, values):
-    """Plain Fourier coefficients rhohat of real grid samples and the real
+    """Plain Fourier coefficients rhohat of real grid samples and the
     grid values of their Coulomb potential sum_{G != 0} 4 pi rhohat(G) /
     |G|^2 exp(i G.r).  Shared by ``hartree`` and the response kernel; not a
     model term, so not in ``__all__``."""
     plain = basis.fourier_coefficients(values)
-    return plain, basis.fourier_values(basis.coulomb_multiplier * plain).real
+    return plain, basis.fourier_values(basis.coulomb_multiplier * plain)
 
 
 def hartree(rho: GridFunction):
@@ -318,13 +318,8 @@ def hartree(rho: GridFunction):
     the orthonormal-coefficient convention.
     """
     basis = rho.basis
-    values = rho.values
-    if np.iscomplexobj(values):
-        if np.abs(values.imag).max() > 1e-10:
-            raise ValueError("density has a non-negligible imaginary part")
-        values = values.real
     mult = basis.coulomb_multiplier
-    plain, v_values = coulomb_solve(basis, values)
+    plain, v_values = coulomb_solve(basis, rho.values)
     v_h = GridFunction(basis, v_values)
     e_h = 0.5 * basis.cell.volume * float(np.sum(mult * np.abs(plain) ** 2))
     return v_h, e_h
@@ -337,8 +332,6 @@ def xc_eval(rho: GridFunction, xc: XcFunctional):
     """
     basis = rho.basis
     values = rho.values
-    if np.iscomplexobj(values):
-        values = values.real
     if xc.is_null:
         return GridFunction(basis, np.zeros(basis.fft_shape)), 0.0
     v = GridFunction(basis, xc.d1(values))
@@ -364,8 +357,7 @@ def assemble_effective(rho: GridFunction, external: ExternalPotential,
     """v_eff = v_ext + v_H(rho) + v_xc(rho) with per-term energies."""
     basis = rho.basis
     v_ext = external.evaluate(basis)
-    rho_real = rho.values.real if np.iscomplexobj(rho.values) else rho.values
-    e_ext = float(np.sum(v_ext.values * rho_real) * basis.quadrature_weight)
+    e_ext = float(np.sum(v_ext.values * rho.values) * basis.quadrature_weight)
     if hartree_on:
         v_h, e_h = hartree(rho)
     else:

@@ -147,8 +147,7 @@ class ResponseContext:
             self.eigenvalues, self.mu, self.smearing, convention=g_sign
         )
         if not self.xc.is_null:
-            rho = state.rho.values.real
-            self._fxc = self.xc.d2(rho).reshape(-1)
+            self._fxc = self.xc.d2(state.rho.values).reshape(-1)
         else:
             self._fxc = None
 

@@ -71,13 +71,8 @@ class Hamiltonian:
     def __init__(self, basis: PlaneWaveBasis, v_local: GridFunction):
         if v_local.basis != basis:
             raise ValueError("potential grid does not match the basis")
-        values = v_local.values
-        if np.iscomplexobj(values):
-            if np.abs(values.imag).max() > 1e-10:
-                raise ValueError("effective potential must be real")
-            values = values.real
         self.basis = basis
-        self.v_values = values
+        self.v_values = v_local.values
         self._dense = None
 
     def apply(self, block: np.ndarray) -> np.ndarray:
@@ -325,6 +320,8 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
     """
     if n_electrons <= 0:
         raise ValueError("n_electrons must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     mixer = _AndersonMixer()
 
     if initial_rho is None:
@@ -334,7 +331,7 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
     else:
         if initial_rho.basis != basis:
             raise ValueError("initial density lives on a different basis")
-        rho_in = GridFunction(basis, initial_rho.values.real.copy())
+        rho_in = GridFunction(basis, initial_rho.values.copy())
     history = []
     f_prev = None
     gamma = mu = rho_out = breakdown = None
@@ -362,7 +359,7 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
             converged = True
             break
         f_prev = breakdown.total
-        mixed = mixer.step(rho_in.values.real, rho_out.values.real)
+        mixed = mixer.step(rho_in.values, rho_out.values)
         rho_in = GridFunction(basis, mixed)
 
     state = ScfState(

@@ -246,12 +246,34 @@ def test_retired_mixing_key_is_a_config_error(tmp_path):
         RunConfig.from_file(cfg)
 
 
-@pytest.mark.parametrize("key", ["n_electrons", "beta", "cutoff"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
-def test_bad_system_scalar_exits_2(tmp_path, capsys, key, value):
+def positive_reason(key, value):
+    return f"{key} must be positive and finite, got {float(value):g}"
+
+
+# (key, value, the reason printed): every numeric value is checked at load
+BAD_SCALARS = [
+    *((key, value, positive_reason(key, value))
+      for key in ("n_electrons", "beta", "cutoff")
+      for value in ("nan", "inf", "-inf", "-1")),
+    *((key, value, positive_reason(key, value))
+      for key in ("tol_rho", "tol_f", "quasi_opt_bound")
+      for value in ("nan", "inf", "0", "-1")),
+    ("max_iter", "0", "max_iter must be at least 1, got 0"),
+    ("max_iter", "-3", "max_iter must be at least 1, got -3"),
+    ("betas", "2,-1", positive_reason("betas", "-1")),
+    ("betas", "nan,20", positive_reason("betas", "nan")),
+    ("betas", "0", positive_reason("betas", "0")),
+]
+
+
+@pytest.mark.parametrize("key, value, reason", BAD_SCALARS,
+                         ids=[f"{value}-{key}" for key, value, _ in BAD_SCALARS])
+def test_bad_system_scalar_exits_2(tmp_path, capsys, key, value, reason):
     lines = bundled_config_path("free1d").read_text().splitlines()
     lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
              for line in lines]
+    if f"{key} = {value}" not in lines:  # free1d leaves it at its default
+        lines.insert(lines.index("[sweep]") + 1, f"{key} = {value}")
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("\n".join(lines) + "\n")
     out = tmp_path / "never"
@@ -260,7 +282,7 @@ def test_bad_system_scalar_exits_2(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("config error:") and err.count("\n") == 1
-    assert f"{key} must be positive and finite, got {float(value):g}\n" in err
+    assert f"{reason}\n" in err
     assert not out.exists()
 
 
@@ -296,8 +318,12 @@ def test_bad_sweep_input_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
      "dimension = 2\nlattice = 1, 2; 2, 4", "lattice vectors are linearly dependent"),
     ("free1d", "kind = zero", "kind = cosine_series\nmodes = 1, 2\namplitudes = 0.5",
      "potential modes row [1, 2] has 2 coordinates in dimension 1"),
+    ("free1d", "lattice = 6.283185307179586", "lattice = nan",
+     "lattice vectors must be finite"),
+    ("free1d", "lattice = 6.283185307179586", "lattice = inf",
+     "lattice vectors must be finite"),
 ], ids=["negative-width", "short-depths", "2d-centre-in-3d", "singular-lattice",
-        "2d-mode-in-1d"])
+        "2d-mode-in-1d", "nan-lattice", "inf-lattice"])
 def test_bad_model_value_exits_2(tmp_path, capsys, name, old, new, fragment):
     text = bundled_config_path(name).read_text()
     assert old in text

@@ -346,6 +346,27 @@ def test_point_errors_ignore_the_basis_of_a_degenerate_eigenspace():
         assert s11_distance(rotated, state.gamma) <= 1e-12
 
 
+@pytest.mark.parametrize("cutoff", [6.0, 20.0])
+def test_rho_l2_err_is_the_parseval_distance_on_the_reference_grid(cutoff):
+    cfg = RunConfig.from_file("si1d")
+    ref = converged_state("si1d", cutoff=cfg.sweep_reference)
+    state = converged_state("si1d", cutoff=cutoff)
+    src, dst = state.basis, ref.basis
+    # a density of the swept basis holds the modes |n_k| <= 2 max|n_k|
+    reach = 2 * np.abs(src.g_int).max(axis=0)
+    modes = dst.grid_modes.reshape(-1, dst.cell.dimension)
+    held = np.all(np.abs(modes) <= reach, axis=1)
+    swept = np.zeros(len(modes), dtype=complex)
+    swept[held] = src.fourier_coefficients(state.rho.values)[
+        src.grid_index(modes[held])
+    ]
+    diff = swept - dst.fourier_coefficients(ref.rho.values)[dst.grid_index(modes)]
+    oracle = np.sqrt(dst.cell.volume * np.sum(np.abs(diff) ** 2))
+    err = _point_errors(state, ref)["rho_l2_err"]
+    assert err > 1e-9
+    assert err == pytest.approx(oracle, rel=1e-13, abs=0)
+
+
 def test_quasi_optimality_validates_reference():
     cfg = RunConfig.from_text(MINIMAL_CFG)
     with pytest.raises(ConfigError, match="cutoff list"):

@@ -144,15 +144,8 @@ def test_hartree_cosine_closed_form():
         v_h.values, (4.0 * np.pi * amp / g1**2) * np.cos(g1 * x), atol=1e-11
     )
     # neutralizing background removes the mean
-    assert abs(complex(v_h.integral())) < 1e-10
+    assert abs(v_h.integral()) < 1e-10
     assert e_h >= 0.0
-
-
-def test_hartree_rejects_complex_density():
-    basis = build_basis(Cell(5.0), 4.0)
-    bad = GridFunction(basis, np.full(basis.fft_shape, 1.0 + 0.5j))
-    with pytest.raises(ValueError):
-        hartree(bad)
 
 
 def test_power_law_xc_unit_density_closed_form():
@@ -182,7 +175,7 @@ def test_xc_energy_directional_derivative(make_xc):
     _, e_minus = xc_eval(rho + (-eps) * eta, xc)
     fd = (e_plus - e_minus) / (2.0 * eps)
     v, _ = xc_eval(rho, xc)
-    exact = complex((v * eta).integral()).real
+    exact = (v * eta).integral()
     assert fd == pytest.approx(exact, rel=1e-5)
 
 
@@ -262,7 +255,7 @@ def test_assemble_effective_sums_terms():
         terms.v_ext.values + terms.v_hartree.values + terms.v_xc.values,
         atol=1e-13,
     )
-    e_ext_oracle = complex((terms.v_ext * rho).integral()).real
+    e_ext_oracle = (terms.v_ext * rho).integral()
     assert terms.e_ext == pytest.approx(e_ext_oracle, rel=1e-12)
 
     off = assemble_effective(rho, external, dirac_exchange(), hartree_on=False)

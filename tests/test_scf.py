@@ -294,15 +294,12 @@ def test_tiny3d_converges_within_fifteen_iterations():
     assert converged_state("tiny3d").iterations <= 15
 
 
-def test_hamiltonian_rejects_mismatched_or_complex_potential():
+def test_hamiltonian_rejects_mismatched_potential():
     basis = build_basis(Cell(10.0), 8.0)
     other = build_basis(Cell(10.0), 4.0)
     v_other = GridFunction(other, np.zeros(other.fft_shape))
     with pytest.raises(ValueError):
         Hamiltonian(basis, v_other)
-    bad = GridFunction(basis, np.full(basis.fft_shape, 1.0 + 1.0j))
-    with pytest.raises(ValueError):
-        Hamiltonian(basis, bad)
 
 
 def test_hamiltonian_refuses_huge_dense_assembly():
@@ -366,9 +363,7 @@ def test_fixed_point_map_trace_and_density():
         cfg.n_electrons,
     )
     assert abs(gamma.trace() - cfg.n_electrons) <= 1e-12 * cfg.n_electrons
-    assert complex(rho.integral()).real == pytest.approx(
-        cfg.n_electrons, rel=1e-12
-    )
+    assert rho.integral() == pytest.approx(cfg.n_electrons, rel=1e-12)
     np.testing.assert_allclose(
         gamma.occupations, fermi_dirac(gamma.eigenvalues, mu, cfg.build_smearing())
     )
@@ -581,6 +576,10 @@ def test_scf_rejects_bad_arguments():
     with pytest.raises(ValueError):
         run_scf(basis, ExternalPotential.zero(), null_xc(),
                 cfg.build_smearing(), -1.0)
+    # no iteration means no state to report
+    with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
+        run_scf(basis, ExternalPotential.zero(), null_xc(),
+                cfg.build_smearing(), cfg.n_electrons, max_iter=0)
 
 
 def test_free_energy_decreases_near_convergence():
