@@ -65,6 +65,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(args, config) -> str:
+    """The output directory, made on the way to the first file written."""
     out = args.out or config.out_dir
     os.makedirs(out, exist_ok=True)
     return out
@@ -88,7 +89,6 @@ def _beta_tag(beta: float) -> str:
 
 
 def _cmd_scf(args, config) -> int:
-    out = _out_dir(args, config)
     state = run_single(config)
     summary = {
         "config_hash": config.config_hash(),
@@ -103,6 +103,7 @@ def _cmd_scf(args, config) -> int:
         "n_states": state.gamma.n_states,
         "basis_exhausted": state.gamma.n_states == state.basis.size,
     }
+    out = _out_dir(args, config)
     log_path = os.path.join(out, "scf_iterations.csv")
     with open(log_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -137,7 +138,6 @@ def _cmd_scf(args, config) -> int:
 
 def _cmd_sweep(args, config) -> int:
     cutoffs = _cutoff_list(args)
-    out = _out_dir(args, config)
     summaries = []
     failure = None
     for beta in config.sweep_betas:
@@ -147,6 +147,7 @@ def _cmd_sweep(args, config) -> int:
         except _RUN_ERRORS as exc:
             failure = failure or exc
             continue
+        out = _out_dir(args, config)
         tag = _beta_tag(beta)
         result.write_csv(os.path.join(out, f"sweep_beta{tag}.csv"))
         summary = result.summary()
@@ -170,11 +171,10 @@ def _cmd_sweep(args, config) -> int:
 
 
 def _cmd_response(args, config) -> int:
-    out = _out_dir(args, config)
     state = run_single(config)
     report = audit_a4(ResponseContext(state, g_sign=config.g_sign))
     report["config_hash"] = config.config_hash()
-    _write_json(os.path.join(out, "response_audit.json"), report)
+    _write_json(os.path.join(_out_dir(args, config), "response_audit.json"), report)
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
@@ -189,9 +189,8 @@ def _cmd_response(args, config) -> int:
 
 
 def _cmd_audit_xc(args, config) -> int:
-    out = _out_dir(args, config)
     report = audit_xc(config.xc)
-    _write_json(os.path.join(out, "xc_audit.json"), report)
+    _write_json(os.path.join(_out_dir(args, config), "xc_audit.json"), report)
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
@@ -209,9 +208,8 @@ def _cmd_audit_xc(args, config) -> int:
 
 def _cmd_quasi_opt(args, config) -> int:
     cutoffs = _cutoff_list(args)
-    out = _out_dir(args, config)
     result = quasi_optimality(config, cutoffs=cutoffs, reference=args.reference)
-    _write_json(os.path.join(out, "quasi_opt.json"), result)
+    _write_json(os.path.join(_out_dir(args, config), "quasi_opt.json"), result)
     if args.json:
         print(json.dumps(result, sort_keys=True))
     else:

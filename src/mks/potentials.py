@@ -38,99 +38,76 @@ XC_AUDIT_FD_RTOL = 1e-6
 class ExternalPotential:
     """Smooth periodic external potential, synthesized spectrally.
 
-    Two kinds are supported:
-
-    * ``gaussian_wells``: periodized Gaussians sum_c depth_c
-      exp(-|r - c|^2 / (2 w_c^2)), with analytically known Fourier
-      coefficients (used both for synthesis and for projection-tail
-      oracles),
-    * ``cosine_series``: sum_j amp_j cos(G_j . r) for integer modes n_j;
-      a mode outside the FFT grid (|n_k| > (N_k - 1)//2 on some axis) is
-      dropped, as the Gaussian path drops its tail, instead of aliasing.
-
-    The zero potential is ``ExternalPotential.zero()``.
+    It holds one function: ``spectrum(basis)`` returns the plain
+    Fourier-series coefficients vhat(G) of the potential,
+    v(r) = sum_G vhat(G) exp(i G . r), on every mode of the basis' FFT
+    grid, in FFT layout (shape ``basis.fft_shape``).  The factories
+    ``gaussian_wells`` and ``cosine_series`` build it from model
+    parameters; the zero potential is ``ExternalPotential.zero()``.
     """
 
-    def __init__(self, kind, centers=None, depths=None, widths=None,
-                 modes=None, amplitudes=None):
-        if kind not in ("gaussian_wells", "cosine_series", "zero"):
-            raise ValueError(f"unknown external potential kind {kind!r}")
-        self.kind = kind
-        if kind == "gaussian_wells":
-            self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
-            self.depths = np.atleast_1d(np.asarray(depths, dtype=float))
-            self.widths = np.atleast_1d(np.asarray(widths, dtype=float))
-            if not (len(self.centers) == len(self.depths) == len(self.widths)):
-                raise ValueError("centers, depths, widths must have equal length")
-            if np.any(self.widths <= 0):
-                raise ValueError("gaussian widths must be positive")
-        elif kind == "cosine_series":
-            self.modes = np.atleast_2d(np.asarray(modes, dtype=int))
-            self.amplitudes = np.atleast_1d(np.asarray(amplitudes, dtype=float))
-            if len(self.modes) != len(self.amplitudes):
-                raise ValueError("modes and amplitudes must have equal length")
+    def __init__(self, spectrum):
+        self.spectrum = spectrum
         self._cache = {}
 
     @classmethod
     def zero(cls):
-        return cls("zero")
-
-    def fourier_coefficient(self, g_cart, cell):
-        """Plain Fourier-series coefficient(s) of the potential at G.
-
-        ``g_cart`` has shape (..., d); the convention is
-        v(r) = sum_G vhat(G) exp(i G . r).
-        """
-        g_cart = np.asarray(g_cart, dtype=float)
-        if self.kind == "zero":
-            return np.zeros(g_cart.shape[:-1], dtype=complex)
-        if self.kind == "gaussian_wells":
-            d = cell.dimension
-            g2 = np.einsum("...i,...i->...", g_cart, g_cart)
-            out = np.zeros(g_cart.shape[:-1], dtype=complex)
-            for center, depth, width in zip(self.centers, self.depths, self.widths):
-                amp = depth * (2.0 * np.pi * width**2) ** (d / 2.0) / cell.volume
-                phase = np.exp(-1j * (g_cart @ center))
-                out += amp * np.exp(-0.5 * g2 * width**2) * phase
-            return out
-        raise NotImplementedError(
-            "analytic coefficients are only defined per retained mode for "
-            "cosine_series; synthesize on a grid instead"
-        )
+        return cls(lambda basis: np.zeros(basis.fft_shape))
 
     def evaluate(self, basis: PlaneWaveBasis) -> GridFunction:
         """Sample the potential on the basis' FFT grid."""
         cached = self._cache.get(basis)
-        if cached is not None:
-            return cached
-        if self.kind == "zero":
-            values = np.zeros(basis.fft_shape)
-        elif self.kind == "gaussian_wells":
-            spec = self.fourier_coefficient(
-                basis.grid_modes @ basis.cell.reciprocal, basis.cell
-            )
-            values = basis.fourier_values(spec)
-        else:  # cosine_series, truncated to the modes the grid holds
-            spec = np.zeros(basis.fft_shape, dtype=complex)
-            largest = (np.asarray(basis.fft_shape) - 1) // 2
-            fits = np.all(np.abs(self.modes) <= largest, axis=1)
-            for mode, amp in zip(self.modes[fits], self.amplitudes[fits]):
-                for sign in (1, -1):
-                    spec[basis.grid_index(sign * mode)] += 0.5 * amp
-            values = basis.fourier_values(spec)
-        out = GridFunction(basis, values)
-        self._cache[basis] = out
-        return out
+        if cached is None:
+            cached = GridFunction(basis, basis.fourier_values(self.spectrum(basis)))
+            self._cache[basis] = cached
+        return cached
 
 
 def gaussian_wells(centers, depths, widths) -> ExternalPotential:
-    return ExternalPotential(
-        "gaussian_wells", centers=centers, depths=depths, widths=widths
-    )
+    """Periodized Gaussians sum_c depth_c exp(-|r - c|^2 / (2 w_c^2)), with
+    analytically known Fourier coefficients; the tail beyond the FFT grid
+    is dropped."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    depths = np.atleast_1d(np.asarray(depths, dtype=float))
+    widths = np.atleast_1d(np.asarray(widths, dtype=float))
+    if not (len(centers) == len(depths) == len(widths)):
+        raise ValueError("centers, depths, widths must have equal length")
+    if np.any(widths <= 0):
+        raise ValueError("gaussian widths must be positive")
+
+    def spectrum(basis):
+        cell, d = basis.cell, basis.cell.dimension
+        g_cart = basis.grid_modes @ cell.reciprocal
+        g2 = np.einsum("...i,...i->...", g_cart, g_cart)
+        out = np.zeros(g_cart.shape[:-1], dtype=complex)
+        for center, depth, width in zip(centers, depths, widths):
+            amp = depth * (2.0 * np.pi * width**2) ** (d / 2.0) / cell.volume
+            phase = np.exp(-1j * (g_cart @ center))
+            out += amp * np.exp(-0.5 * g2 * width**2) * phase
+        return out
+
+    return ExternalPotential(spectrum)
 
 
 def cosine_series(modes, amplitudes) -> ExternalPotential:
-    return ExternalPotential("cosine_series", modes=modes, amplitudes=amplitudes)
+    """sum_j amp_j cos(G_j . r) for integer modes n_j; a mode outside the
+    FFT grid (|n_k| > (N_k - 1)//2 on some axis) is dropped, as the
+    Gaussian tail is, instead of aliasing."""
+    modes = np.atleast_2d(np.asarray(modes, dtype=int))
+    amplitudes = np.atleast_1d(np.asarray(amplitudes, dtype=float))
+    if len(modes) != len(amplitudes):
+        raise ValueError("modes and amplitudes must have equal length")
+
+    def spectrum(basis):
+        spec = np.zeros(basis.fft_shape, dtype=complex)
+        largest = (np.asarray(basis.fft_shape) - 1) // 2
+        fits = np.all(np.abs(modes) <= largest, axis=1)
+        for mode, amp in zip(modes[fits], amplitudes[fits]):
+            for sign in (1, -1):
+                spec[basis.grid_index(sign * mode)] += 0.5 * amp
+        return spec
+
+    return ExternalPotential(spectrum)
 
 
 class XcFunctional:
@@ -153,10 +130,6 @@ class XcFunctional:
             raise ValueError(f"p1 must lie in [0, 2], got {self.p1}")
         if not 0.0 < self.p2 <= 1.0:
             raise ValueError(f"p2 must lie in (0, 1], got {self.p2}")
-
-    @property
-    def is_null(self):
-        return self.name == "none"
 
     def _clamp(self, t):
         return np.maximum(np.asarray(t, dtype=float), DENSITY_FLOOR)
@@ -257,35 +230,32 @@ def audit_xc(xc: XcFunctional):
     t = np.logspace(-4, 4, XC_AUDIT_SAMPLES)
     slack = 1.0 + 1e-9  # roundoff allowance for bounds that are tight at infinity
 
-    b0 = np.abs(xc.e(t)) / (xc.c0 * (1.0 + t ** (4.0 / 3.0))) if xc.c0 else None
-    b1 = (
-        (np.abs(xc.d1(t)) + np.abs(t * xc.d2(t))) / (xc.c1 * (1.0 + t**xc.p1))
-        if xc.c1
-        else None
-    )
-    b2 = (
-        (np.abs(xc.d2(t)) + np.abs(t * xc.d3(t)))
-        / (xc.c2 * (1.0 + t ** (xc.p2 - 1.0)))
-        if xc.c2
-        else None
-    )
-    if xc.is_null:
-        b0 = b1 = b2 = np.zeros(1)
+    def max_ratio(value, bound):
+        # a zero bound holds only a zero value: 0/0 reads 0, x/0 reads inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.max(np.where(value == 0.0, 0.0, value / bound)))
+
+    ratios = {
+        "a2_max_ratio": max_ratio(
+            np.abs(xc.e(t)), xc.c0 * (1.0 + t ** (4.0 / 3.0))
+        ),
+        "a3_first_max_ratio": max_ratio(
+            np.abs(xc.d1(t)) + np.abs(t * xc.d2(t)), xc.c1 * (1.0 + t**xc.p1)
+        ),
+        "a3_second_max_ratio": max_ratio(
+            np.abs(xc.d2(t)) + np.abs(t * xc.d3(t)),
+            xc.c2 * (1.0 + t ** (xc.p2 - 1.0)),
+        ),
+    }
 
     tf = np.logspace(np.log10(0.01), 1.0, 101)
     h = 3e-5 * tf
     fd = (xc.e(tf + h) - xc.e(tf - h)) / (2.0 * h)
     d1 = xc.d1(tf)
     denom = np.maximum(np.abs(d1), 1e-30)
-    fd_err = float(np.max(np.abs(fd - d1) / denom)) if not xc.is_null else 0.0
+    fd_err = float(np.max(np.abs(fd - d1) / denom))
 
-    ratios = {
-        "a2_max_ratio": float(np.max(b0)) if b0 is not None else float("nan"),
-        "a3_first_max_ratio": float(np.max(b1)) if b1 is not None else float("nan"),
-        "a3_second_max_ratio": float(np.max(b2)) if b2 is not None else float("nan"),
-    }
-    finite = [v for v in ratios.values() if np.isfinite(v)]
-    passed = all(v <= slack for v in finite) and fd_err <= XC_AUDIT_FD_RTOL
+    passed = all(v <= slack for v in ratios.values()) and fd_err <= XC_AUDIT_FD_RTOL
     return {
         "name": xc.name,
         "constants": {
@@ -331,11 +301,8 @@ def xc_eval(rho: GridFunction, xc: XcFunctional):
     Returns (v_xc, e_xc) with v_xc = e'(rho) and e_xc = integral of e(rho).
     """
     basis = rho.basis
-    values = rho.values
-    if xc.is_null:
-        return GridFunction(basis, np.zeros(basis.fft_shape)), 0.0
-    v = GridFunction(basis, xc.d1(values))
-    e = float(np.sum(xc.e(values)) * basis.quadrature_weight)
+    v = GridFunction(basis, xc.d1(rho.values))
+    e = float(np.sum(xc.e(rho.values)) * basis.quadrature_weight)
     return v, e
 
 

@@ -146,10 +146,7 @@ class ResponseContext:
         self.g_diag = fermi_dirac_dmu(
             self.eigenvalues, self.mu, self.smearing, convention=g_sign
         )
-        if not self.xc.is_null:
-            self._fxc = self.xc.d2(state.rho.values).reshape(-1)
-        else:
-            self._fxc = None
+        self._fxc = self.xc.d2(state.rho.values).reshape(-1)
 
     # -- kernel pieces ---------------------------------------------------
 
@@ -161,12 +158,10 @@ class ResponseContext:
 
     def kernel_potential(self, rho_flat) -> np.ndarray:
         """dv = v_H(rho) + e_xc''(rho_bar) rho on the grid, flattened."""
-        dv = np.zeros_like(rho_flat)
+        dv = self._fxc * rho_flat
         if self.hartree_on:
             _, vh = coulomb_solve(self.basis, rho_flat.reshape(self.basis.fft_shape))
-            dv = dv + vh.reshape(-1)
-        if self._fxc is not None:
-            dv = dv + self._fxc * rho_flat
+            dv += vh.reshape(-1)
         return dv
 
     def matrix_elements(self, potential_flat) -> np.ndarray:
@@ -265,10 +260,11 @@ class _WeightedKernel:
         return q + self.s * self.bare(self.s * q)
 
     def lowest_eigenvalue(self) -> float:
-        if not self.ctx.hartree_on and self.ctx.xc.is_null:
-            # B = 0, so A = I: Lanczos breaks down on its first step and
-            # restarts from ARPACK's own unseeded vectors, which makes the
-            # roundoff of the result vary from call to call
+        if not (self.ctx.hartree_on or self.ctx._fxc.any()):
+            # no Hartree term and a zero xc kernel: B = 0, so A = I.
+            # Lanczos breaks down on its first step and restarts from
+            # ARPACK's own unseeded vectors, which makes the roundoff of
+            # the result vary from call to call
             return 1.0
         if self.dim == 1:
             return float(self.apply(np.ones(1))[0])

@@ -307,16 +307,13 @@ def fixed_point_residual(state: ScfState) -> float:
 def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
             xc: XcFunctional, smearing: Smearing, n_electrons: float,
             hartree_on=True, tol_rho=1e-8, tol_f=1e-10,
-            max_iter=200, raise_on_failure=True,
-            initial_rho: GridFunction | None = None) -> ScfState:
+            max_iter=200, initial_rho: GridFunction | None = None) -> ScfState:
     """Anderson-accelerated self-consistent field loop.
 
     Starts from the uniform density N/|Omega| (or ``initial_rho`` when
     given, e.g. to restart from a converged density); converged when the
     density update falls below tol_rho in L2 and the free energy moves by
-    less than tol_f.  Raises ScfError on non-convergence unless
-    ``raise_on_failure`` is False, in which case the last iterate is
-    returned flagged.
+    less than tol_f.  Raises ScfError on non-convergence.
     """
     if n_electrons <= 0:
         raise ValueError("n_electrons must be positive")
@@ -334,9 +331,6 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
         rho_in = GridFunction(basis, initial_rho.values.copy())
     history = []
     f_prev = None
-    gamma = mu = rho_out = breakdown = None
-    delta = np.inf
-    converged = False
     n_states = None
     for it in range(1, max_iter + 1):
         gamma, mu, rho_out = fixed_point_map(
@@ -356,18 +350,21 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
             }
         )
         if f_prev is not None and delta <= tol_rho and abs(breakdown.total - f_prev) <= tol_f:
-            converged = True
             break
         f_prev = breakdown.total
         mixed = mixer.step(rho_in.values, rho_out.values)
         rho_in = GridFunction(basis, mixed)
-
+    else:
+        raise ScfError(
+            f"no convergence in {max_iter} iterations "
+            f"(density residual {delta:.3e}, F {breakdown.total:.12g})"
+        )
     state = ScfState(
         gamma, mu, rho_out, breakdown,
         residual_density=delta,
         residual_fixedpoint=np.nan,
         iterations=len(history),
-        converged=converged,
+        converged=True,
         history=history,
         external=external,
         xc=xc,
@@ -375,11 +372,6 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
         n_electrons=n_electrons,
         hartree_on=hartree_on,
     )
-    if not converged and raise_on_failure:
-        raise ScfError(
-            f"no convergence in {max_iter} iterations "
-            f"(density residual {delta:.3e}, F {breakdown.total:.12g})"
-        )
     state.residual_fixedpoint = fixed_point_residual(state)
     return state
 

@@ -306,6 +306,32 @@ def test_bad_sweep_input_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
     assert err.startswith("config error:") and err.count("\n") == 1
     assert fragment in err
     assert calls == []
+    assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "quasi-opt"])
+@pytest.mark.parametrize("old, new, fragment", [
+    ("cutoffs = 2, 4, 6, 8, 12", "cutoffs = 0, 2", "got 0"),
+    ("reference = 24", "reference = 5",
+     "reference cutoff 5 must be at least twice the largest swept cutoff 12"),
+], ids=["zero-cutoff", "low-reference"])
+def test_bad_sweep_config_exits_2_without_output(tmp_path, capsys, monkeypatch,
+                                                 command, old, new, fragment):
+    # the sweep values are checked after load, and still before any solve
+    # or output directory
+    calls = []
+    monkeypatch.setattr("mks.harness.run_single",
+                        lambda *a, **kw: calls.append(a))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(bundled_config_path("free1d").read_text().replace(old, new))
+    out = tmp_path / "w"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert fragment in err
+    assert calls == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, old, new, fragment", [
@@ -322,8 +348,9 @@ def test_bad_sweep_input_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
      "lattice vectors must be finite"),
     ("free1d", "lattice = 6.283185307179586", "lattice = inf",
      "lattice vectors must be finite"),
+    ("free1d", "kind = zero", "kind = wells", "unknown potential kind 'wells'"),
 ], ids=["negative-width", "short-depths", "2d-centre-in-3d", "singular-lattice",
-        "2d-mode-in-1d", "nan-lattice", "inf-lattice"])
+        "2d-mode-in-1d", "nan-lattice", "inf-lattice", "unknown-kind"])
 def test_bad_model_value_exits_2(tmp_path, capsys, name, old, new, fragment):
     text = bundled_config_path(name).read_text()
     assert old in text
@@ -371,6 +398,7 @@ def test_scf_failure_exits_1(tmp_path, capsys, old, new, fragment):
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and fragment in errors[0]
+    assert not (tmp_path / "y").exists()
 
 
 def test_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch):

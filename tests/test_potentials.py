@@ -12,6 +12,7 @@ from mks.cell import Cell, GridFunction, build_basis
 from mks.potentials import (
     DIRAC_COEFF,
     ExternalPotential,
+    XcFunctional,
     assemble_effective,
     audit_xc,
     cosine_series,
@@ -63,8 +64,8 @@ def test_gaussian_fourier_coefficients_against_quadrature():
     pot = gaussian_wells([[3.3]], [-2.0], [1.0])
     x = basis.grid_points()[..., 0]
     oracle_values = gaussian_image_sum(x, [3.3], [-2.0], [1.0], length)
-    cart, coeffs = direct_plain_coefficients(oracle_values, basis)
-    analytic = pot.fourier_coefficient(cart, basis.cell)
+    _, coeffs = direct_plain_coefficients(oracle_values, basis)
+    analytic = pot.spectrum(basis).reshape(-1)
     np.testing.assert_allclose(analytic, coeffs, atol=1e-10)
 
 
@@ -97,12 +98,10 @@ def test_zero_potential():
     basis = build_basis(Cell(5.0), 4.0)
     zero = ExternalPotential.zero()
     assert np.all(zero.evaluate(basis).values == 0.0)
-    assert np.all(zero.fourier_coefficient(basis.g_cart, basis.cell) == 0.0)
+    assert np.all(zero.spectrum(basis) == 0.0)
 
 
 def test_external_potential_validation():
-    with pytest.raises(ValueError):
-        ExternalPotential("wells")
     with pytest.raises(ValueError):
         gaussian_wells([[0.0]], [-1.0, -2.0], [0.5])
     with pytest.raises(ValueError):
@@ -206,7 +205,6 @@ def test_null_xc_is_inert():
     v, e = xc_eval(rho, null_xc())
     assert e == 0.0
     assert np.all(v.values == 0.0)
-    assert null_xc().is_null
 
 
 def test_audit_xc_passes_shipped_functionals():
@@ -216,23 +214,26 @@ def test_audit_xc_passes_shipped_functionals():
         assert report["d1_fd_max_rel_err"] <= 1e-6
 
 
-def test_audit_xc_flags_understated_constant():
+def dirac_with(name, **constants):
+    """Dirac exchange's e and derivatives under other growth constants."""
     base = dirac_exchange()
-    bad = type(base)(
-        "understated",
-        e=base._e,
-        d1=base._d1,
-        d2=base._d2,
-        d3=base._d3,
-        c0=0.1 * base.c0,
-        c1=base.c1,
-        c2=base.c2,
-        p1=base.p1,
-        p2=base.p2,
-    )
-    report = audit_xc(bad)
+    stated = dict(c0=base.c0, c1=base.c1, c2=base.c2, p1=base.p1, p2=base.p2)
+    stated.update(constants)
+    return XcFunctional(name, base._e, base._d1, base._d2, base._d3, **stated)
+
+
+def test_audit_xc_flags_understated_constant():
+    report = audit_xc(dirac_with("understated", c0=0.1 * dirac_exchange().c0))
     assert not report["passed"]
     assert report["a2_max_ratio"] > 1.0
+
+
+def test_audit_xc_flags_zero_constant_of_nonzero_derivatives():
+    # c1 = 0 claims e' and t e'' vanish; Dirac's do not, so the ratio is inf
+    report = audit_xc(dirac_with("zero-c1", c1=0.0))
+    assert not report["passed"]
+    assert report["a3_first_max_ratio"] == float("inf")
+    assert report["a2_max_ratio"] <= 1.0 + 1e-9
 
 
 def test_power_law_xc_validation():

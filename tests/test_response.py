@@ -402,8 +402,10 @@ def test_tangent_perturbation_validation():
 
 
 def test_audit_free1d_is_trivial(ctx_free1d):
+    # no Hartree term and a zero xc kernel: B = 0, and no product is taken
     report = audit_a4(ctx_free1d)
-    assert report["lambda_min"] == pytest.approx(1.0, abs=1e-12)
+    assert report["operator_applications"] == 0
+    assert report["lambda_min"] == 1.0
     assert report["kappa"] == pytest.approx(1.0, abs=1e-12)
     assert not report["violated"]
     assert report["tangent_dim"] == ctx_free1d.n_states**2
@@ -414,6 +416,17 @@ def test_audit_free1d_is_trivial(ctx_free1d):
     assert report["denominator_s"] == pytest.approx(
         beta * float(np.sum(f * (1.0 - f))), rel=1e-12
     )
+
+
+def test_audit_without_hartree_keeps_the_xc_kernel():
+    # Hartree off but Dirac exchange on: B is the xc kernel alone, not 0,
+    # so the audit runs Lanczos like any other state
+    text = bundled_config_path("si1d").read_text()
+    config = RunConfig.from_text(text.replace("hartree = on", "hartree = off"))
+    assert not config.hartree_on
+    report = audit_a4(ResponseContext(run_single(config)))
+    assert report["operator_applications"] > 0
+    assert report["lambda_min"] == pytest.approx(0.605145344522, rel=1e-7)
 
 
 def test_audit_rhf1d_reaches_unit_floor(ctx_rhf1d):
