@@ -21,7 +21,6 @@ from .density_matrix import (
     free_energy,
     project_dm,
     s11_distance,
-    s11_norm,
 )
 from .harness import fit_decay, quasi_optimality, run_single, run_sweep
 from .potentials import (

@@ -22,13 +22,10 @@ from .smearing import Smearing, entropy
 __all__ = [
     "DensityMatrix",
     "density",
-    "s11_norm",
     "s11_distance",
     "project_dm",
     "FreeEnergyBreakdown",
     "free_energy",
-    "perturb",
-    "rotate",
     "mode_positions",
     "embed_dm",
 ]
@@ -59,10 +56,10 @@ class DensityMatrix:
             )
         if occupations.shape != (orbitals.shape[1],):
             raise ValueError("one occupation per orbital required")
-        if occupations.size and (
-            occupations.min() < -OCC_TOL or occupations.max() > 1.0 + OCC_TOL
+        if occupations.size and not (
+            occupations.min() >= -OCC_TOL and occupations.max() <= 1.0 + OCC_TOL
         ):
-            raise ValueError("occupations outside [0, 1] beyond 1e-12")
+            raise ValueError("occupations not finite or outside [0, 1] beyond 1e-12")
         if validate and orbitals.shape[1]:
             # numpy and scipy each ship their own OpenBLAS thread pool. After
             # a threaded numpy product, numpy's workers busy-wait on the cores
@@ -71,7 +68,7 @@ class DensityMatrix:
             # products that run next to the eigensolver use scipy's BLAS.
             overlap = blas.zgemm(1.0, orbitals, orbitals, trans_a=2)
             drift = np.abs(overlap - np.eye(orbitals.shape[1])).max()
-            if drift > 1e-10:
+            if not drift <= 1e-10:
                 raise ValueError(f"orbitals not orthonormal, drift {drift:.3e}")
         self.basis = basis
         self.orbitals = orbitals
@@ -103,14 +100,6 @@ def density(gamma: DensityMatrix) -> GridFunction:
     grid = gamma.orbitals_on_grid()
     rho = np.einsum("i,i...->...", gamma.occupations, np.abs(grid) ** 2)
     return GridFunction(gamma.basis, rho)
-
-
-def s11_norm(gamma: DensityMatrix) -> float:
-    """Sum_i |f_i| (1 + ||grad phi_i||^2), the S^{1,1} norm of Gamma."""
-    grad2 = np.einsum(
-        "g,gi->i", gamma.basis.g_norm2, np.abs(gamma.orbitals) ** 2
-    )
-    return float(np.sum(np.abs(gamma.occupations) * (1.0 + grad2)))
 
 
 def mode_positions(sub: PlaneWaveBasis, sup: PlaneWaveBasis) -> np.ndarray:
@@ -250,26 +239,3 @@ def free_energy(gamma: DensityMatrix, external: ExternalPotential,
     return FreeEnergyBreakdown(kinetic, terms.e_ext, terms.e_hartree,
                                terms.e_xc, s)
 
-
-def perturb(gamma: DensityMatrix, tangent, eps: float) -> DensityMatrix:
-    """State Gamma + eps Psi for a Hermitian tangent in the orbital frame.
-
-    Diagonalizes diag(f) + eps Psi and rotates the orbitals accordingly; the
-    caller is responsible for keeping the perturbed spectrum inside [0, 1].
-    """
-    tangent = np.asarray(tangent, dtype=complex)
-    m = gamma.n_states
-    if tangent.shape != (m, m):
-        raise ValueError(f"tangent must be ({m}, {m})")
-    matrix = np.diag(gamma.occupations.astype(complex)) + eps * tangent
-    occ, vecs = np.linalg.eigh(matrix)
-    return DensityMatrix(gamma.basis, gamma.orbitals @ vecs, occ)
-
-
-def rotate(gamma: DensityMatrix, antihermitian, eps: float) -> DensityMatrix:
-    """Spectrum-preserving rotation exp(eps A) Gamma exp(-eps A)."""
-    a = np.asarray(antihermitian, dtype=complex)
-    u = scipy.linalg.expm(eps * a)
-    return DensityMatrix(
-        gamma.basis, gamma.orbitals @ u, gamma.occupations, gamma.eigenvalues
-    )

@@ -9,13 +9,19 @@ where D is the divided-difference table of the occupation function (its
 diagonal is f') and dv collects the Hartree and local xc kernels.  The
 constrained Jacobian pairs chi - I with the trace row.
 
-Nothing of size (m^2)^2 is ever built.  In real tangent coordinates chi is
--S^2 B, with S = sqrt|D| per coordinate and B the bare Hartree/xc kernel,
-so every question is put to the symmetric operator A = I + S B S, applied
-at O(m^2 N_grid) cost: the A4 audit takes its smallest eigenvalue by
-Lanczos (ARPACK's implicitly restarted variant), and the Jacobian solve
-eliminates Psi by MINRES on A (A is indefinite whenever A4 fails) before
-recovering the chemical-potential component from the trace constraint.
+The orbitals are real functions, so the pair density
+rho_Psi = sum_ij Psi_ij phi_i phi_j sees only the real symmetric part of
+Psi: of the m^2 real coordinates of a Hermitian tangent, the m(m-1)/2
+imaginary antisymmetric ones are annihilated by chi, and I - chi = I there.
+Nothing of size (m^2)^2 is ever built.  On the other m(m+1)/2 coordinates,
+the diagonal and the real upper triangle, chi is -S^2 B, with S = sqrt|D|
+per coordinate and B the bare Hartree/xc kernel, so every question is put
+to the symmetric operator A = I + S B S on those coordinates, applied at
+O(m^2 N_grid) cost: the A4 audit takes its smallest eigenvalue by Lanczos
+(ARPACK's implicitly restarted variant) and caps it at the 1 of the
+imaginary block, and the Jacobian solve eliminates Psi by MINRES on A (A is
+indefinite whenever A4 fails) before recovering the chemical-potential
+component from the trace constraint.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ __all__ = [
     "ResponseContext",
     "divided_difference_table",
     "apply_chi",
-    "rhf_quadratic_form",
     "apply_jacobian",
     "solve_jacobian",
     "audit_a4",
@@ -64,8 +69,8 @@ class TangentPerturbation:
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("tangent matrix must be square")
-        if np.abs(matrix - matrix.conj().T).max() > 1e-10:
-            raise ValueError("tangent matrix must be Hermitian")
+        if not np.abs(matrix - matrix.conj().T).max() <= 1e-10:
+            raise ValueError("tangent matrix must be finite and Hermitian")
         self.matrix = 0.5 * (matrix + matrix.conj().T)
         self.scalar = float(scalar)
 
@@ -138,7 +143,10 @@ class ResponseContext:
         self.g_sign = g_sign
         self.n_states = gamma.n_states
 
-        self.grid_orbitals = gamma.orbitals_on_grid().reshape(self.n_states, -1)
+        grid = gamma.orbitals_on_grid().reshape(self.n_states, -1)
+        if not np.abs(grid.imag).max() <= 1e-10 * np.abs(grid).max():
+            raise ValueError("response context requires real orbitals on the grid")
+        self.grid_orbitals = np.ascontiguousarray(grid.real)
         self.weight = self.basis.quadrature_weight
         self.dd_table = divided_difference_table(
             self.eigenvalues, self.mu, self.smearing
@@ -151,10 +159,10 @@ class ResponseContext:
     # -- kernel pieces ---------------------------------------------------
 
     def pair_density(self, psi) -> np.ndarray:
-        """rho_Psi(r) = sum_ij Psi_ij phi_i(r) conj(phi_j(r)), flattened;
-        real for the Hermitian tangents the response operator acts on."""
-        mixed = np.tensordot(psi, self.grid_orbitals, axes=([0], [0]))
-        return np.einsum("jx,jx->x", mixed, np.conj(self.grid_orbitals)).real
+        """rho_Psi(r) = sum_ij Psi_ij phi_i(r) phi_j(r), flattened.  For a
+        Hermitian Psi the imaginary part is antisymmetric and drops out."""
+        mixed = np.tensordot(np.real(psi), self.grid_orbitals, axes=([0], [0]))
+        return np.einsum("jx,jx->x", mixed, self.grid_orbitals)
 
     def kernel_potential(self, rho_flat) -> np.ndarray:
         """dv = v_H(rho) + e_xc''(rho_bar) rho on the grid, flattened."""
@@ -167,7 +175,7 @@ class ResponseContext:
     def matrix_elements(self, potential_flat) -> np.ndarray:
         """M_ij = <phi_i| v |phi_j> by grid quadrature."""
         weighted = self.grid_orbitals * potential_flat
-        return self.weight * (np.conj(self.grid_orbitals) @ weighted.T)
+        return self.weight * (self.grid_orbitals @ weighted.T)
 
     def kernel_matrix(self, psi) -> np.ndarray:
         """The bare kernel B Psi = <phi_i| dv[rho_Psi] |phi_j>."""
@@ -180,16 +188,9 @@ def apply_chi(ctx: ResponseContext, psi) -> np.ndarray:
     m = ctx.n_states
     if psi.shape != (m, m):
         raise ValueError(f"tangent must be ({m}, {m})")
-    if np.abs(psi - psi.conj().T).max() > 1e-10:
-        raise ValueError("tangent must be Hermitian")
+    if not np.abs(psi - psi.conj().T).max() <= 1e-10:
+        raise ValueError("tangent must be finite and Hermitian")
     return ctx.dd_table * ctx.kernel_matrix(psi)
-
-
-def rhf_quadratic_form(ctx: ResponseContext, psi) -> float:
-    """sum_ij D_ij |<phi_i| v_H(rho_Psi) |phi_j>|^2, the Coulomb-paired
-    quadratic form of chi.  Non-positive whenever the xc kernel is off."""
-    m_el = ctx.kernel_matrix(np.asarray(psi, dtype=complex))
-    return float(np.sum(ctx.dd_table * np.abs(m_el) ** 2))
 
 
 def apply_jacobian(ctx: ResponseContext, psi, s: float) -> TangentPerturbation:
@@ -228,20 +229,24 @@ def coords_to_hermitian(x, m) -> np.ndarray:
 class _WeightedKernel:
     """A = I + S B S, applied matrix-free; ``applications`` counts its uses.
 
-    B is the bare Hartree/xc kernel Psi -> <phi_i| dv[rho_Psi] |phi_j> on
-    the real Hermitian coordinates, symmetric up to quadrature roundoff.
-    The Hadamard product with the symmetric real table D is diagonal in
-    those coordinates, so chi = diag(w) B exactly, and every w is negative
-    (or a negative underflowed to -0.0) for Fermi-Dirac occupations.  With
+    A acts on the first m(m+1)/2 coordinates of ``hermitian_to_coords``,
+    the diagonal and the real upper triangle of a real symmetric tangent.
+    B is the bare Hartree/xc kernel Psi -> <phi_i| dv[rho_Psi] |phi_j>
+    there, symmetric up to quadrature roundoff; on the imaginary
+    antisymmetric coordinates after them B = 0, because real orbitals give
+    those tangents no pair density, so I - chi = I on that block.  The
+    Hadamard product with the symmetric real table D is diagonal in these
+    coordinates, so chi = diag(w) B exactly, and every w is negative (or a
+    negative underflowed to -0.0) for Fermi-Dirac occupations.  With
     S = sqrt|w|, chi = -S^2 B, so A is I - chi conjugated by S and carries
-    its spectrum.
+    its spectrum on the symmetric block.
     """
 
     def __init__(self, ctx: ResponseContext):
         self.ctx = ctx
         iu = np.triu_indices(ctx.n_states, 1)
         d = ctx.dd_table
-        self.s = np.sqrt(np.abs(np.concatenate([d.diagonal(), d[iu], d[iu]])))
+        self.s = np.sqrt(np.abs(np.concatenate([d.diagonal(), d[iu]])))
         self.dim = self.s.size
         self.applications = 0
 
@@ -251,8 +256,10 @@ class _WeightedKernel:
         return LinearOperator((self.dim, self.dim), matvec=self.apply, dtype=float)
 
     def bare(self, x) -> np.ndarray:
-        ctx = self.ctx
-        return hermitian_to_coords(ctx.kernel_matrix(coords_to_hermitian(x, ctx.n_states)))
+        """B x on the symmetric coordinates."""
+        m = self.ctx.n_states
+        psi = coords_to_hermitian(np.concatenate([x, np.zeros(m * m - self.dim)]), m)
+        return hermitian_to_coords(self.ctx.kernel_matrix(psi))[: self.dim]
 
     def apply(self, q) -> np.ndarray:
         self.applications += 1
@@ -271,12 +278,14 @@ class _WeightedKernel:
         v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(self.dim)
         eigs = eigsh(self.operator(), k=1, which="SA", v0=v0, tol=LANCZOS_TOL,
                      ncv=min(LANCZOS_NCV, self.dim - 1), return_eigenvectors=False)
-        return float(eigs[0])
+        # m >= 2 here, so the imaginary block, where A = I, is not empty
+        return min(float(eigs[0]), 1.0)
 
     def solve_chi_minus_identity(self, r) -> np.ndarray:
-        """y = (chi - I)^{-1} r as -r + S q with (I + S B S) q = S B r,
-        which needs no division by S where a weight underflows to -0.0."""
-        b = self.s * self.bare(r)
+        """y = (chi - I)^{-1} r for r on all m^2 coordinates: -r, plus S q on
+        the symmetric block with (I + S B S) q = S B r there, which needs no
+        division by S where a weight underflows to -0.0."""
+        b = self.s * self.bare(r[: self.dim])
         q, info = minres(self.operator(), b, rtol=MINRES_RTOL)
         if info != 0:
             residual = np.linalg.norm(b - self.apply(q))
@@ -284,7 +293,9 @@ class _WeightedKernel:
                 f"MINRES on I + S B S stopped without converging (info = {info}, "
                 f"residual = {residual:.3e})"
             )
-        return -r + self.s * q
+        y = -r
+        y[: self.dim] += self.s * q
+        return y
 
 
 def solve_jacobian(ctx: ResponseContext, phi, t: float) -> TangentPerturbation:

@@ -101,14 +101,6 @@ class Hamiltonian:
         return self._dense
 
 
-def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry of each column real and positive."""
-    idx = np.argmax(np.abs(vecs), axis=0)
-    lead = vecs[idx, np.arange(vecs.shape[1])]
-    scale = np.where(np.abs(lead) > 0, np.abs(lead) / np.where(lead == 0, 1, lead), 1.0)
-    return vecs * scale
-
-
 def _real_form(h: np.ndarray) -> np.ndarray:
     """U^H H U for the dense H, with U the cos/sin basis of the G -> -G pairs.
 
@@ -152,7 +144,9 @@ def lowest_eigenpairs(ham: Hamiltonian, m: int):
     """Lowest m eigenpairs of H, ascending, with residuals below RESIDUAL_TOL.
 
     LAPACK's real symmetric eigh (only the m wanted pairs) on H in the
-    cos/sin basis, mapped back to plane waves.  The residual is taken with
+    cos/sin basis, each real eigenvector signed so that its largest-magnitude
+    entry is positive, then mapped back to plane waves: every orbital has
+    c(-G) = conj c(G), so it is a real function.  The residual is taken with
     the complex dense(), so it also checks the real form and the map back.
     """
     basis = ham.basis
@@ -160,6 +154,7 @@ def lowest_eigenpairs(ham: Hamiltonian, m: int):
         raise ValueError(f"need 1 <= m <= {basis.size}, got {m}")
     h = ham.dense()
     vals, x = scipy.linalg.eigh(_real_form(h), subset_by_index=[0, m - 1])
+    x *= np.sign(x[np.argmax(np.abs(x), axis=0), np.arange(m)])
     vecs = _from_real_form(x)
 
     # scipy's BLAS pool, as its eigh: numpy's would spin on the cores eigh
@@ -169,7 +164,7 @@ def lowest_eigenpairs(ham: Hamiltonian, m: int):
     scale = max(1.0, float(np.abs(vals).max()))
     if worst > RESIDUAL_TOL * scale:
         raise EigensolverError(f"eigensolver residual {worst:.3e} above tolerance")
-    return vals, _fix_phases(vecs)
+    return vals, vecs
 
 
 def fixed_point_map(rho_in: GridFunction, external: ExternalPotential,

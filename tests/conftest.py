@@ -1,12 +1,15 @@
 """Shared fixtures: converged benchmark states, solved once per session,
-and the dense column-by-column oracle of the response operator."""
+the dense column-by-column oracle of the response operator, and the
+density-matrix oracles the tests build states and quadratic forms with."""
 
 import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mks.config import RunConfig
+from mks.density_matrix import DensityMatrix
 from mks.harness import run_single
 from mks.response import coords_to_hermitian, hermitian_to_coords
 
@@ -53,8 +56,6 @@ def random_density_matrix(basis, m, seed, occupations=None):
     q, _ = np.linalg.qr(raw)
     if occupations is None:
         occupations = rng.uniform(0.05, 0.95, size=m)
-    from mks.density_matrix import DensityMatrix
-
     return DensityMatrix(basis, q, np.asarray(occupations, dtype=float))
 
 
@@ -85,3 +86,42 @@ def dense_bare_matrix(ctx):
 def dense_chi_matrix(ctx):
     """Matrix of chi on the real Hermitian coordinates: diag(w) @ bare."""
     return coordinate_weights(ctx)[:, None] * dense_bare_matrix(ctx)
+
+
+def rhf_quadratic_form(ctx, psi):
+    """sum_ij D_ij |<phi_i| v_H(rho_Psi) |phi_j>|^2, the Coulomb-paired
+    quadratic form of chi.  Non-positive whenever the xc kernel is off."""
+    m_el = ctx.kernel_matrix(np.asarray(psi, dtype=complex))
+    return float(np.sum(ctx.dd_table * np.abs(m_el) ** 2))
+
+
+def s11_norm(gamma):
+    """Sum_i |f_i| (1 + ||grad phi_i||^2), the S^{1,1} norm of Gamma."""
+    grad2 = np.einsum(
+        "g,gi->i", gamma.basis.g_norm2, np.abs(gamma.orbitals) ** 2
+    )
+    return float(np.sum(np.abs(gamma.occupations) * (1.0 + grad2)))
+
+
+def perturb(gamma, tangent, eps):
+    """State Gamma + eps Psi for a Hermitian tangent in the orbital frame.
+
+    Diagonalizes diag(f) + eps Psi and rotates the orbitals accordingly; the
+    caller is responsible for keeping the perturbed spectrum inside [0, 1].
+    """
+    tangent = np.asarray(tangent, dtype=complex)
+    m = gamma.n_states
+    if tangent.shape != (m, m):
+        raise ValueError(f"tangent must be ({m}, {m})")
+    matrix = np.diag(gamma.occupations.astype(complex)) + eps * tangent
+    occ, vecs = np.linalg.eigh(matrix)
+    return DensityMatrix(gamma.basis, gamma.orbitals @ vecs, occ)
+
+
+def rotate(gamma, antihermitian, eps):
+    """Spectrum-preserving rotation exp(eps A) Gamma exp(-eps A)."""
+    a = np.asarray(antihermitian, dtype=complex)
+    u = scipy.linalg.expm(eps * a)
+    return DensityMatrix(
+        gamma.basis, gamma.orbitals @ u, gamma.occupations, gamma.eigenvalues
+    )

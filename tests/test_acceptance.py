@@ -12,7 +12,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import converged_state, dense_chi_matrix
+from conftest import (
+    converged_state,
+    dense_chi_matrix,
+    perturb,
+    rhf_quadratic_form,
+    s11_norm,
+)
 from test_density_matrix import dense_from_projectors, s11_of_dense
 from test_harness import free_particle_free_energy
 from test_response import (
@@ -25,7 +31,7 @@ from test_scf import admissible_tangent
 
 from mks.cli import main
 from mks.config import RunConfig, bundled_config_path
-from mks.density_matrix import free_energy, perturb, s11_norm
+from mks.density_matrix import free_energy
 from mks.harness import quasi_optimality, run_single, run_sweep
 from mks.potentials import assemble_effective
 from mks.response import (
@@ -35,7 +41,6 @@ from mks.response import (
     audit_a4,
     coords_to_hermitian,
     hermitian_to_coords,
-    rhf_quadratic_form,
     solve_jacobian,
 )
 from mks.scf import Hamiltonian, free_energy_gradient, lowest_eigenpairs

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import converged_state, random_density_matrix
+from conftest import converged_state, perturb, random_density_matrix, rotate, s11_norm
 from mks import density_matrix, scf
 from mks.cell import Cell, build_basis, l2_norm
 from mks.density_matrix import (
@@ -19,11 +19,8 @@ from mks.density_matrix import (
     embed_dm,
     free_energy,
     mode_positions,
-    perturb,
     project_dm,
-    rotate,
     s11_distance,
-    s11_norm,
 )
 from mks.potentials import ExternalPotential, gaussian_wells, null_xc
 from mks.smearing import Smearing, entropy

@@ -11,7 +11,7 @@ from conftest import converged_state
 from mks.config import RunConfig
 from mks.density_matrix import DensityMatrix
 from mks.harness import run_sweep
-from mks.io import FORMAT_TAG, load_density_matrix, load_state, save_state
+from mks.io import FORMAT_TAG, _pack, load_density_matrix, load_state, save_state
 
 
 def test_checkpoint_round_trip_is_bitwise(tmp_path):
@@ -86,6 +86,20 @@ def test_basis_size_mismatch_rejected(tmp_path):
     doc["basis"]["size"] += 2
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="does not match"):
+        load_density_matrix(path)
+
+
+@pytest.mark.parametrize("key, message", [("orbitals", "orthonormal"),
+                                          ("occupations", "not finite")])
+def test_checkpoint_with_nan_rejected(tmp_path, key, message):
+    path = tmp_path / "state.json"
+    save_state(converged_state("si1d"), path)
+    doc = json.loads(path.read_text())
+    poisoned = load_state(path)["arrays"][key]
+    poisoned[0] = np.nan
+    doc["arrays"][key] = _pack(poisoned)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
         load_density_matrix(path)
 
 

@@ -5,6 +5,7 @@ The chi oracle rebuilds the induced potential by direct quadrature sums
 occupation function of its full spectrum at fixed chemical potential.
 """
 
+import copy
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from conftest import (
     coordinate_weights,
     dense_bare_matrix,
     dense_chi_matrix,
+    rhf_quadratic_form,
 )
 from mks.cell import GridFunction
 from mks.config import RunConfig, bundled_config_path
@@ -31,7 +33,6 @@ from mks.response import (
     coords_to_hermitian,
     divided_difference_table,
     hermitian_to_coords,
-    rhf_quadratic_form,
     solve_jacobian,
 )
 from mks.smearing import Smearing, fermi_dirac, fermi_dirac_dmu
@@ -254,15 +255,38 @@ def test_kernel_potential_matches_hartree_without_xc(ctx_rhf1d):
 
 def test_kernel_product_is_real_for_hermitian_tangents(ctx_si1d):
     psi = random_hermitian(ctx_si1d.n_states, seed=46)
+    assert ctx_si1d.grid_orbitals.dtype == np.float64
     rho = ctx_si1d.pair_density(psi)
     assert rho.dtype == np.float64
     assert ctx_si1d.kernel_potential(rho).dtype == np.float64
+
+
+@pytest.mark.parametrize("name", ["si1d", "rhf1d", "tiny3d"])
+def test_bare_kernel_vanishes_on_imaginary_coordinates(name, request):
+    # real orbitals give an imaginary antisymmetric tangent no pair density,
+    # and every matrix element between them is real
+    ctx = request.getfixturevalue(f"ctx_{name}")
+    m = ctx.n_states
+    sym = m * (m + 1) // 2
+    bare = dense_bare_matrix(ctx)
+    assert np.abs(bare[sym:]).max() == 0.0
+    assert np.abs(bare[:, sym:]).max() == 0.0
+    assert np.abs(bare[:sym, :sym]).max() > 0.0
 
 
 def test_apply_chi_rejects_non_hermitian_tangent(ctx_si1d):
     psi = random_hermitian(ctx_si1d.n_states, seed=47)
     psi[0, 1] += 1e-3
     with pytest.raises(ValueError, match="Hermitian"):
+        apply_chi(ctx_si1d, psi)
+
+
+def test_nan_tangent_rejected(ctx_si1d):
+    psi = random_hermitian(ctx_si1d.n_states, seed=48)
+    psi[0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite and Hermitian"):
+        TangentPerturbation(psi)
+    with pytest.raises(ValueError, match="finite and Hermitian"):
         apply_chi(ctx_si1d, psi)
 
 
@@ -587,3 +611,10 @@ def test_response_context_validation():
 
     with pytest.raises(ValueError, match="eigenvalues"):
         ResponseContext(Shim())
+    # a constant phase leaves Gamma as it is, but its orbitals are no
+    # longer real functions
+    turned = copy.copy(state)
+    turned.gamma = DensityMatrix(state.basis, state.gamma.orbitals * np.exp(0.3j),
+                                 state.gamma.occupations, state.gamma.eigenvalues)
+    with pytest.raises(ValueError, match="real orbitals"):
+        ResponseContext(turned)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import converged_state, random_density_matrix
+from conftest import converged_state, perturb, random_density_matrix, rotate
 from test_density_matrix import dense_from_projectors
 from mks import density_matrix, scf
 from mks.cell import Cell, GridFunction, PlaneWaveBasis, build_basis, l2_norm
 from mks.config import RunConfig
-from mks.density_matrix import DensityMatrix, density, free_energy, perturb, rotate
+from mks.density_matrix import DensityMatrix, density, free_energy
 from mks.harness import run_single
 from mks.potentials import (
     ExternalPotential,
@@ -210,6 +210,16 @@ def test_residual_check_catches_a_wrong_partner_map(monkeypatch):
     monkeypatch.setattr(scf, "_from_real_form", swapped)
     with pytest.raises(EigensolverError, match="residual"):
         lowest_eigenpairs(ham, 5)
+
+
+@pytest.mark.parametrize("name", BENCHMARKS)
+def test_scf_orbitals_are_real_functions(name):
+    # each eigenvector's sign is fixed on the real cos/sin vector, so no
+    # complex phase breaks c(-G) = conj c(G); the basis is sorted and closed
+    # under negation, so -G of index i sits at n - 1 - i
+    gamma = converged_state(name).gamma
+    assert np.array_equal(gamma.basis.g_int[::-1], -gamma.basis.g_int)
+    assert np.abs(gamma.orbitals[::-1] - gamma.orbitals.conj()).max() <= 1e-15
 
 
 @pytest.mark.parametrize("name", ["free1d", "si1d", "tiny3d"])
