@@ -41,7 +41,7 @@ class DensityMatrix:
         basis: plane-wave basis carrying the orbitals.
         orbitals: (basis.size, m) complex array, orthonormal columns.
         occupations: (m,) occupation numbers.
-        eigenvalues: optional (m,) one-body eigenvalues lambda_i.
+        eigenvalues: optional (m,) finite one-body eigenvalues lambda_i.
         validate: check orthonormality to 1e-10 (skip for deliberately
             non-orthonormal states such as truncated projections).
     """
@@ -60,6 +60,10 @@ class DensityMatrix:
             occupations.min() >= -OCC_TOL and occupations.max() <= 1.0 + OCC_TOL
         ):
             raise ValueError("occupations not finite or outside [0, 1] beyond 1e-12")
+        if eigenvalues is not None:
+            eigenvalues = np.asarray(eigenvalues, dtype=float)
+            if eigenvalues.shape != occupations.shape or not np.isfinite(eigenvalues).all():
+                raise ValueError("eigenvalues not finite or not one per orbital")
         if validate and orbitals.shape[1]:
             # numpy and scipy each ship their own OpenBLAS thread pool. After
             # a threaded numpy product, numpy's workers busy-wait on the cores
@@ -73,9 +77,7 @@ class DensityMatrix:
         self.basis = basis
         self.orbitals = orbitals
         self.occupations = np.clip(occupations, 0.0, 1.0)
-        self.eigenvalues = None if eigenvalues is None else np.asarray(
-            eigenvalues, dtype=float
-        )
+        self.eigenvalues = eigenvalues
 
     @property
     def n_states(self):

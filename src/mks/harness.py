@@ -307,7 +307,10 @@ def quasi_optimality(config: RunConfig, cutoffs=None, reference=None) -> dict:
             tail = phi_ref.copy()
             tail[pos] = 0.0
             den = max(den, _h1_coeff_norm(ref_basis, tail))
-        constants.append(num / den if den > 0 else float("inf"))
+        # a zero tail holds only a zero error: 0/0 reads 0, x/0 reads inf
+        constants.append(
+            num / den if den > 0 else (0.0 if num == 0.0 else float("inf"))
+        )
 
     half = max(1, len(ratios) // 2)
     coarse_max = max(ratios[:half])

@@ -11,14 +11,14 @@ constrained Jacobian pairs chi - I with the trace row.
 
 The orbitals are real functions, so the pair density
 rho_Psi = sum_ij Psi_ij phi_i phi_j sees only the real symmetric part of
-Psi: of the m^2 real coordinates of a Hermitian tangent, the m(m-1)/2
-imaginary antisymmetric ones are annihilated by chi, and I - chi = I there.
-Nothing of size (m^2)^2 is ever built.  On the other m(m+1)/2 coordinates,
-the diagonal and the real upper triangle, chi is -S^2 B, with S = sqrt|D|
-per coordinate and B the bare Hartree/xc kernel, so every question is put
-to the symmetric operator A = I + S B S on those coordinates, applied at
-O(m^2 N_grid) cost: the A4 audit takes its smallest eigenvalue by Lanczos
-(ARPACK's implicitly restarted variant) and caps it at the 1 of the
+Psi: chi annihilates the imaginary antisymmetric part, where I - chi = I,
+and that part has no trace, so the Jacobian solve answers it in closed
+form.  Nothing of size (m^2)^2 is ever built.  On the m(m+1)/2 coordinates
+of a real symmetric tangent, the diagonal and the upper triangle, chi is
+-S^2 B, with S = sqrt|D| per coordinate and B the bare Hartree/xc kernel,
+so every question is put to the symmetric operator A = I + S B S, applied
+at O(m^2 N_grid) cost: the A4 audit takes its smallest eigenvalue by
+Lanczos (ARPACK's implicitly restarted variant) and caps it at the 1 of the
 imaginary block, and the Jacobian solve eliminates Psi by MINRES on A (A is
 indefinite whenever A4 fails) before recovering the chemical-potential
 component from the trace constraint.
@@ -31,7 +31,6 @@ from scipy.sparse.linalg import LinearOperator, eigsh, minres
 
 from .potentials import coulomb_solve
 from .smearing import fermi_dirac_dmu
-from .scf import ScfState
 
 __all__ = [
     "TangentPerturbation",
@@ -42,8 +41,6 @@ __all__ = [
     "solve_jacobian",
     "audit_a4",
 ]
-
-DEGENERACY_TOL = 1e-7
 
 # Lanczos (A4 audit) and MINRES (Jacobian solves) settings.  ARPACK's
 # default of 20 Lanczos vectors stalls on the unit-eigenvalue cluster of
@@ -83,50 +80,91 @@ def _log_cosh(x):
 
 
 def divided_difference_table(eigenvalues, mu, smearing):
-    """D(l_i, l_j) = (f(l_i) - f(l_j)) / (l_i - l_j), with the f' limit on
-    (near-)degenerate pairs.  Every entry is negative for Fermi-Dirac f.
+    """D(l_i, l_j) = (f(l_i) - f(l_j)) / (l_i - l_j), with f' on the
+    diagonal.  Every entry is negative for Fermi-Dirac f.
 
-    Evaluated through log(sinh)/log(cosh): the naive quotient cancels to
-    an exact zero once both occupations round to the same double, and
-    those zeros would degenerate the weighted metric of the positivity
-    audit.  The identity used is
+    With x = beta (l - mu)/2 and sinhc(u) = sinh(u)/u, one identity holds
+    for every pair, degenerate or not:
 
-        f(a) - f(b) = sinh(beta (b - a)/2)
-                      / (2 cosh(beta (a - mu)/2) cosh(beta (b - mu)/2)).
+        D(a, b) = -(beta/4) sinhc(x_a - x_b) / (cosh x_a cosh x_b).
+
+    It is evaluated in log form, with
+
+        log sinhc(u) = |u| + log(-expm1(-2|u|) / (2|u|)),
+
+    and is exact to roundoff at near-degenerate pairs.  The naive quotient
+    cancels to an exact zero once both occupations round to the same
+    double, and those zeros would degenerate the weighted metric of the
+    positivity audit.
     """
     vals = np.asarray(eigenvalues, dtype=float)
     beta = smearing.beta
     half = _log_cosh(0.5 * beta * (vals - float(mu)))
-    diff = vals[:, None] - vals[None, :]
-    ay = 0.5 * beta * np.abs(diff)
-    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
-    near = np.abs(diff) < DEGENERACY_TOL * scale
+    u = 0.5 * beta * np.abs(vals[:, None] - vals[None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
-        logsinh = np.where(
-            ay <= 1.0,
-            np.log(np.sinh(np.minimum(ay, 1.0))),
-            np.maximum(ay, 1.0)
-            + np.log1p(-np.exp(-2.0 * np.maximum(ay, 1.0)))
-            - np.log(2.0),
-        )
-        logmag = (
-            logsinh
-            - np.log(2.0)
-            - half[:, None]
-            - half[None, :]
-            - np.log(np.abs(diff))
-        )
-        table = -np.exp(logmag)
-    mid_half = _log_cosh(0.25 * beta * (vals[:, None] + vals[None, :] - 2.0 * float(mu)))
-    deriv = -0.25 * beta * np.exp(-2.0 * mid_half)
-    table[near] = deriv[near]
-    return table
+        sinhc_scaled = np.where(u > 0.0, -np.expm1(-2.0 * u) / (2.0 * u), 1.0)
+    log_sinhc = u + np.log(sinhc_scaled)
+    return -0.25 * beta * np.exp(log_sinhc - half[:, None] - half[None, :])
+
+
+# -- real coordinates on the Hermitian tangent space ----------------------
+#
+# A real symmetric matrix has m(m+1)/2 coordinates in a Frobenius-
+# orthonormal basis: its diagonal, then sqrt(2) times its strict upper
+# triangle row by row.  A Hermitian matrix has the coordinates of its real
+# part followed by the off-diagonal ones of its imaginary antisymmetric
+# part, m^2 in all.
+
+
+def _sym_index(m):
+    """Row and column of each symmetric coordinate."""
+    iu = np.triu_indices(m, 1)
+    return tuple(np.concatenate([np.arange(m), k]) for k in iu)
+
+
+def _sym_to_coords(a) -> np.ndarray:
+    m = a.shape[0]
+    x = a[_sym_index(m)]
+    x[m:] *= np.sqrt(2.0)
+    return x
+
+
+def _coords_to_sym(x, m) -> np.ndarray:
+    rows, cols = _sym_index(m)
+    a = np.empty((m, m))
+    a[rows, cols] = a[cols, rows] = np.concatenate([x[:m], x[m:] / np.sqrt(2.0)])
+    return a
+
+
+def hermitian_to_coords(psi) -> np.ndarray:
+    """Coordinates in a Frobenius-orthonormal real basis of Hermitian matrices."""
+    psi = np.asarray(psi, dtype=complex)
+    m = psi.shape[0]
+    return np.concatenate([_sym_to_coords(psi.real), _sym_to_coords(psi.imag)[m:]])
+
+
+def coords_to_hermitian(x, m) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    sym = m * (m + 1) // 2
+    imag = _coords_to_sym(np.concatenate([np.zeros(m), x[sym:]]), m)
+    return _coords_to_sym(x[:sym], m) + 1j * (np.triu(imag) - np.tril(imag))
 
 
 class ResponseContext:
-    """Frozen ingredients of the response operator at a converged state."""
+    """Frozen ingredients of the response operator at a converged state.
 
-    def __init__(self, state: ScfState, g_sign: str = "paper"):
+    Besides the kernel pieces, the context holds S = sqrt|D| on the
+    m(m+1)/2 real symmetric coordinates and applies A = I + S B S there,
+    counting its products in ``applications``.  B is the bare Hartree/xc
+    kernel Psi -> <phi_i| dv[rho_Psi] |phi_j>, symmetric up to quadrature
+    roundoff.  The Hadamard product with the symmetric real table D is
+    diagonal in these coordinates, so chi = diag(D) B exactly, and every
+    D is negative (or a negative underflowed to -0.0) for Fermi-Dirac
+    occupations; with S = sqrt|D|, chi = -S^2 B, so A is I - chi
+    conjugated by S.
+    """
+
+    def __init__(self, state, g_sign: str = "paper"):
         gamma = state.gamma
         if gamma.eigenvalues is None:
             raise ValueError("response context requires stored eigenvalues")
@@ -155,6 +193,8 @@ class ResponseContext:
             self.eigenvalues, self.mu, self.smearing, convention=g_sign
         )
         self._fxc = self.xc.d2(state.rho.values).reshape(-1)
+        self.s = np.sqrt(np.abs(self.dd_table[_sym_index(self.n_states)]))
+        self.applications = 0
 
     # -- kernel pieces ---------------------------------------------------
 
@@ -181,6 +221,54 @@ class ResponseContext:
         """The bare kernel B Psi = <phi_i| dv[rho_Psi] |phi_j>."""
         return self.matrix_elements(self.kernel_potential(self.pair_density(psi)))
 
+    # -- A = I + S B S on the real symmetric coordinates -----------------
+
+    def _bare(self, x) -> np.ndarray:
+        return _sym_to_coords(self.kernel_matrix(_coords_to_sym(x, self.n_states)))
+
+    def apply_a(self, q) -> np.ndarray:
+        """A q, counted in ``applications``."""
+        self.applications += 1
+        q = np.ravel(q)
+        return q + self.s * self._bare(self.s * q)
+
+    def _operator(self) -> LinearOperator:
+        # made per call: stored on self it would form a reference cycle
+        # that keeps the grid arrays alive until a gc pass
+        dim = self.s.size
+        return LinearOperator((dim, dim), matvec=self.apply_a, dtype=float)
+
+    def lowest_eigenvalue(self) -> float:
+        """Smallest eigenvalue of I - chi on all m^2 tangent coordinates."""
+        if not (self.hartree_on or self._fxc.any()):
+            # no Hartree term and a zero xc kernel: B = 0, so A = I.
+            # Lanczos breaks down on its first step and restarts from
+            # ARPACK's own unseeded vectors, which makes the roundoff of
+            # the result vary from call to call
+            return 1.0
+        dim = self.s.size
+        if dim == 1:
+            return float(self.apply_a(np.ones(1))[0])
+        v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
+        eigs = eigsh(self._operator(), k=1, which="SA", v0=v0, tol=LANCZOS_TOL,
+                     ncv=min(LANCZOS_NCV, dim - 1), return_eigenvectors=False)
+        # m >= 2 here, so the imaginary block, where A = I, is not empty
+        return min(float(eigs[0]), 1.0)
+
+    def solve_chi_minus_identity(self, r) -> np.ndarray:
+        """y = (chi - I)^{-1} r for a real symmetric r, both in symmetric
+        coordinates: -r plus S q, with (I + S B S) q = S B r, which needs
+        no division by S where a weight underflows to -0.0."""
+        b = self.s * self._bare(r)
+        q, info = minres(self._operator(), b, rtol=MINRES_RTOL)
+        if info != 0:
+            residual = np.linalg.norm(b - self.apply_a(q))
+            raise RuntimeError(
+                f"MINRES on I + S B S stopped without converging (info = {info}, "
+                f"residual = {residual:.3e})"
+            )
+        return self.s * q - r
+
 
 def apply_chi(ctx: ResponseContext, psi) -> np.ndarray:
     """chi Psi via the exact spectral double sum over retained pairs."""
@@ -201,122 +289,26 @@ def apply_jacobian(ctx: ResponseContext, psi, s: float) -> TangentPerturbation:
     return TangentPerturbation(first, trace)
 
 
-# -- real coordinates on the Hermitian tangent space ----------------------
-
-
-def hermitian_to_coords(psi) -> np.ndarray:
-    """Coordinates in a Frobenius-orthonormal real basis of Hermitian matrices."""
-    psi = np.asarray(psi, dtype=complex)
-    iu = np.triu_indices(psi.shape[0], 1)
-    sqrt2 = np.sqrt(2.0)
-    return np.concatenate(
-        [psi.diagonal().real, sqrt2 * psi[iu].real, sqrt2 * psi[iu].imag]
-    )
-
-
-def coords_to_hermitian(x, m) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    iu = np.triu_indices(m, 1)
-    k = iu[0].size
-    psi = np.zeros((m, m), dtype=complex)
-    psi[np.diag_indices(m)] = x[:m]
-    upper = (x[m : m + k] + 1j * x[m + k :]) / np.sqrt(2.0)
-    psi[iu] = upper
-    psi[iu[1], iu[0]] = np.conj(upper)
-    return psi
-
-
-class _WeightedKernel:
-    """A = I + S B S, applied matrix-free; ``applications`` counts its uses.
-
-    A acts on the first m(m+1)/2 coordinates of ``hermitian_to_coords``,
-    the diagonal and the real upper triangle of a real symmetric tangent.
-    B is the bare Hartree/xc kernel Psi -> <phi_i| dv[rho_Psi] |phi_j>
-    there, symmetric up to quadrature roundoff; on the imaginary
-    antisymmetric coordinates after them B = 0, because real orbitals give
-    those tangents no pair density, so I - chi = I on that block.  The
-    Hadamard product with the symmetric real table D is diagonal in these
-    coordinates, so chi = diag(w) B exactly, and every w is negative (or a
-    negative underflowed to -0.0) for Fermi-Dirac occupations.  With
-    S = sqrt|w|, chi = -S^2 B, so A is I - chi conjugated by S and carries
-    its spectrum on the symmetric block.
-    """
-
-    def __init__(self, ctx: ResponseContext):
-        self.ctx = ctx
-        iu = np.triu_indices(ctx.n_states, 1)
-        d = ctx.dd_table
-        self.s = np.sqrt(np.abs(np.concatenate([d.diagonal(), d[iu]])))
-        self.dim = self.s.size
-        self.applications = 0
-
-    def operator(self) -> LinearOperator:
-        # made per call: stored on self it would form a reference cycle
-        # that keeps the context's grid arrays alive until a gc pass
-        return LinearOperator((self.dim, self.dim), matvec=self.apply, dtype=float)
-
-    def bare(self, x) -> np.ndarray:
-        """B x on the symmetric coordinates."""
-        m = self.ctx.n_states
-        psi = coords_to_hermitian(np.concatenate([x, np.zeros(m * m - self.dim)]), m)
-        return hermitian_to_coords(self.ctx.kernel_matrix(psi))[: self.dim]
-
-    def apply(self, q) -> np.ndarray:
-        self.applications += 1
-        q = np.ravel(q)
-        return q + self.s * self.bare(self.s * q)
-
-    def lowest_eigenvalue(self) -> float:
-        if not (self.ctx.hartree_on or self.ctx._fxc.any()):
-            # no Hartree term and a zero xc kernel: B = 0, so A = I.
-            # Lanczos breaks down on its first step and restarts from
-            # ARPACK's own unseeded vectors, which makes the roundoff of
-            # the result vary from call to call
-            return 1.0
-        if self.dim == 1:
-            return float(self.apply(np.ones(1))[0])
-        v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(self.dim)
-        eigs = eigsh(self.operator(), k=1, which="SA", v0=v0, tol=LANCZOS_TOL,
-                     ncv=min(LANCZOS_NCV, self.dim - 1), return_eigenvectors=False)
-        # m >= 2 here, so the imaginary block, where A = I, is not empty
-        return min(float(eigs[0]), 1.0)
-
-    def solve_chi_minus_identity(self, r) -> np.ndarray:
-        """y = (chi - I)^{-1} r for r on all m^2 coordinates: -r, plus S q on
-        the symmetric block with (I + S B S) q = S B r there, which needs no
-        division by S where a weight underflows to -0.0."""
-        b = self.s * self.bare(r[: self.dim])
-        q, info = minres(self.operator(), b, rtol=MINRES_RTOL)
-        if info != 0:
-            residual = np.linalg.norm(b - self.apply(q))
-            raise RuntimeError(
-                f"MINRES on I + S B S stopped without converging (info = {info}, "
-                f"residual = {residual:.3e})"
-            )
-        y = -r
-        y[: self.dim] += self.s * q
-        return y
-
-
 def solve_jacobian(ctx: ResponseContext, phi, t: float) -> TangentPerturbation:
     """Solve J(Psi, s) = (Phi, t) for the tangent and the mu component.
 
-    Psi = (chi - I)^{-1} (Phi - s g_mu(H)) with
-    s = (Tr((chi - I)^{-1} Phi) - t) / Tr((chi - I)^{-1} g_mu(H)); each
+    chi annihilates the imaginary antisymmetric part of a tangent and that
+    part has no trace, so Im Psi = -Im Phi.  On the real symmetric part,
+    Psi = (chi - I)^{-1} (Re Phi - s g_mu(H)) with
+    s = (Tr((chi - I)^{-1} Re Phi) - t) / Tr((chi - I)^{-1} g_mu(H)); each
     (chi - I)^{-1} is a MINRES solve on A = I + S B S.  The exact residual
-    is checked through apply_jacobian and polished by up to REFINE_STEPS
-    steps of iterative refinement; a system that stays unsolved raises with
-    the MINRES status and the residual in the message.
+    Phi - J(Psi, s) is checked through apply_jacobian and polished by up to
+    REFINE_STEPS steps of iterative refinement.  A Phi that is not
+    Hermitian raises ValueError; a system that stays unsolved raises
+    RuntimeError with the MINRES status and the residual in the message.
     """
-    phi = np.asarray(phi, dtype=complex)
+    phi = TangentPerturbation(phi).matrix
     m = ctx.n_states
     if phi.shape != (m, m):
         raise ValueError(f"right-hand side must be ({m}, {m})")
-    op = _WeightedKernel(ctx)
-    g_coords = hermitian_to_coords(np.diag(ctx.g_diag).astype(complex))
-    phi_coords = hermitian_to_coords(phi)
-    y_phi = op.solve_chi_minus_identity(phi_coords)
-    y_g = op.solve_chi_minus_identity(g_coords)
+    imag = -1j * phi.imag
+    y_phi = ctx.solve_chi_minus_identity(_sym_to_coords(phi.real))
+    y_g = ctx.solve_chi_minus_identity(_sym_to_coords(np.diag(ctx.g_diag)))
     denom = float(y_g[:m].sum())
     if abs(denom) < 1e-13 * max(1.0, float(np.abs(y_g).max())):
         raise RuntimeError(
@@ -325,10 +317,10 @@ def solve_jacobian(ctx: ResponseContext, phi, t: float) -> TangentPerturbation:
     s = (float(y_phi[:m].sum()) - t) / denom
     x = y_phi - s * y_g
 
-    tolerance = 1e-10 * max(1.0, np.linalg.norm(phi_coords) + abs(t))
+    tolerance = 1e-10 * max(1.0, np.linalg.norm(phi) + abs(t))
     for attempt in range(REFINE_STEPS + 1):
-        out = apply_jacobian(ctx, coords_to_hermitian(x, m), s)
-        r_first = hermitian_to_coords(phi - out.matrix)
+        out = apply_jacobian(ctx, _coords_to_sym(x, m) + imag, s)
+        r_first = phi - out.matrix
         r_trace = t - out.scalar
         size = np.linalg.norm(r_first) + abs(r_trace)
         if size <= tolerance:
@@ -338,11 +330,11 @@ def solve_jacobian(ctx: ResponseContext, phi, t: float) -> TangentPerturbation:
                 f"chi - I is singular on the tangent space (MINRES info 0, "
                 f"Jacobian residual {size:.3e} after {REFINE_STEPS} refinement steps)"
             )
-        y_r = op.solve_chi_minus_identity(r_first)
+        y_r = ctx.solve_chi_minus_identity(_sym_to_coords(r_first.real))
         ds = (float(y_r[:m].sum()) - r_trace) / denom
         x = x + y_r - ds * y_g
         s = s + ds
-    return TangentPerturbation(coords_to_hermitian(x, m), s)
+    return TangentPerturbation(_coords_to_sym(x, m) + imag, s)
 
 
 def audit_a4(ctx: ResponseContext) -> dict:
@@ -353,16 +345,15 @@ def audit_a4(ctx: ResponseContext) -> dict:
     from Lanczos.  Reports that eigenvalue, the implied kappa =
     1 / lambda_min, the trace-row denominator under the configured g
     convention (a MINRES solve on A) and the number of products with A
-    used.  A non-positive lambda_min is flagged, not raised; the report is
-    the deliverable.
+    this audit made.  A non-positive lambda_min is flagged, not raised;
+    the report is the deliverable.
     """
     m = ctx.n_states
-    op = _WeightedKernel(ctx)
-    lambda_min = op.lowest_eigenvalue()
+    before = ctx.applications
+    lambda_min = ctx.lowest_eigenvalue()
     kappa = float(1.0 / lambda_min) if lambda_min > 0 else float("inf")
-
-    g_coords = hermitian_to_coords(np.diag(ctx.g_diag).astype(complex))
-    denominator_s = float(op.solve_chi_minus_identity(g_coords)[:m].sum())
+    g = _sym_to_coords(np.diag(ctx.g_diag))
+    denominator_s = float(ctx.solve_chi_minus_identity(g)[:m].sum())
 
     return {
         "lambda_min": lambda_min,
@@ -370,6 +361,6 @@ def audit_a4(ctx: ResponseContext) -> dict:
         "denominator_s": denominator_s,
         "g_sign": ctx.g_sign,
         "tangent_dim": int(m * m),
-        "operator_applications": op.applications,
+        "operator_applications": ctx.applications - before,
         "violated": bool(lambda_min <= 0.0),
     }

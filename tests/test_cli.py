@@ -512,7 +512,7 @@ def test_installed_console_script_smoke(tmp_path):
 
 
 # every subcommand on every bundled config exits 0, except free1d quasi-opt,
-# whose ratios (at most 7.8) stay within the bound but rise with the cutoff
+# whose ratios (at most 5.7) stay within the bound but rise with the cutoff
 COMMAND_OUTPUTS = {
     "scf": "scf_summary.json",
     "sweep": "sweep_beta*.json",

@@ -304,6 +304,14 @@ def test_quasi_optimality_small_interacting_chain():
     assert report["passed"] == (report["within_bound"] and report["trend_ok"])
 
 
+def test_quasi_optimality_free1d_orbital_constants_are_zero():
+    # free particles: the occupied orbitals lie in every swept basis, so the
+    # orbital error and the projection tail are both exactly 0, read as 0
+    report = quasi_optimality(RunConfig.from_file("free1d"))
+    assert report["orbital_constants"] == [0.0] * len(report["cutoffs"])
+    assert report["orbital_constant"] == 0.0
+
+
 def test_quasi_optimality_matches_sweep_ratios():
     cfg = RunConfig.from_file("si1d")
     report = quasi_optimality(cfg, cutoffs=[2.0, 3.0, 4.0], reference=8.0)

@@ -90,16 +90,29 @@ def test_basis_size_mismatch_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("key, message", [("orbitals", "orthonormal"),
-                                          ("occupations", "not finite")])
+                                          ("occupations", "not finite"),
+                                          ("eigenvalues", "eigenvalues not finite")])
 def test_checkpoint_with_nan_rejected(tmp_path, key, message):
+    # one entry only: an all-NaN eigenvalue array is the "no eigenvalues" mark
     path = tmp_path / "state.json"
     save_state(converged_state("si1d"), path)
     doc = json.loads(path.read_text())
     poisoned = load_state(path)["arrays"][key]
-    poisoned[0] = np.nan
+    poisoned[2] = np.nan
     doc["arrays"][key] = _pack(poisoned)
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=message):
+        load_density_matrix(path)
+
+
+def test_checkpoint_with_wrong_length_eigenvalues_rejected(tmp_path):
+    path = tmp_path / "state.json"
+    save_state(converged_state("si1d"), path)
+    doc = json.loads(path.read_text())
+    eigenvalues = load_state(path)["arrays"]["eigenvalues"]
+    doc["arrays"]["eigenvalues"] = _pack(eigenvalues[:-1])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="not one per orbital"):
         load_density_matrix(path)
 
 

@@ -116,6 +116,23 @@ def test_divided_difference_near_degenerate_limit():
     assert table[0, 1] == pytest.approx(-sm.beta * f * (1.0 - f), rel=1e-6)
 
 
+@pytest.mark.parametrize("gap", [1e-9, 5e-8, 0.99e-7, 1.01e-7])
+@pytest.mark.parametrize("beta", [1e4, 1e5])
+@pytest.mark.parametrize("a", [0.3, 2.5])
+def test_divided_difference_exact_at_near_degenerate_pairs(a, beta, gap):
+    # the expm1 rewrite of (f(a) - f(b))/(a - b), y = beta (l - mu), with
+    # yb - ya taken as beta (b - a), agrees with 50-digit values to 2e-16
+    mu = a + 0.5 / beta
+    b = a + gap
+    table = divided_difference_table(np.array([a, b]), mu, Smearing(beta))
+    ya, yb = beta * (a - mu), beta * (b - mu)
+    oracle = np.exp(ya) * np.expm1(beta * (b - a)) / (
+        (1.0 + np.exp(ya)) * (1.0 + np.exp(yb)) * (a - b)
+    )
+    assert table[0, 1] == pytest.approx(oracle, rel=1e-12)
+    assert table[1, 0] == table[0, 1]
+
+
 def test_divided_difference_survives_occupation_rounding():
     # both occupations round to 1.0 in doubles, the literal quotient is an
     # exact zero, yet the true divided difference is ~1e-26
@@ -394,6 +411,15 @@ def test_solve_jacobian_round_trip(name):
     assert back.scalar == pytest.approx(t, abs=1e-8)
 
 
+@pytest.mark.parametrize("name", ["si1d", "tiny3d"])
+def test_solve_jacobian_answers_the_imaginary_part_in_closed_form(name, request):
+    # chi annihilates the imaginary antisymmetric part, which has no trace
+    ctx = request.getfixturevalue(f"ctx_{name}")
+    phi = random_hermitian(ctx.n_states, seed=56)
+    out = solve_jacobian(ctx, phi, 0.2)
+    assert np.array_equal(out.matrix.imag, -phi.imag)
+
+
 @pytest.mark.parametrize("info, message", [(0, "refinement steps"), (7, "info = 7")])
 def test_unsolved_jacobian_raises_with_minres_status(ctx_si1d, monkeypatch, info,
                                                      message):
@@ -411,6 +437,13 @@ def test_unsolved_jacobian_raises_with_minres_status(ctx_si1d, monkeypatch, info
 def test_solve_jacobian_validates_shape(ctx_free1d):
     with pytest.raises(ValueError):
         solve_jacobian(ctx_free1d, np.eye(2), 0.0)
+
+
+def test_solve_jacobian_rejects_non_hermitian_rhs(ctx_si1d):
+    phi = random_hermitian(ctx_si1d.n_states, seed=58)
+    phi[0, 1] += 1e-3
+    with pytest.raises(ValueError, match="Hermitian"):
+        solve_jacobian(ctx_si1d, phi, 0.0)
 
 
 def test_tangent_perturbation_validation():
@@ -505,6 +538,17 @@ def test_audit_is_deterministic(name, repeats, request):
     ctx = request.getfixturevalue(f"ctx_{name}")
     reports = {json.dumps(audit_a4(ctx), sort_keys=True) for _ in range(repeats)}
     assert len(reports) == 1
+
+
+@pytest.mark.parametrize("name", ["si1d", "tiny3d"])
+def test_audit_counts_only_its_own_products(name):
+    state = converged_state(name)
+    fresh = audit_a4(ResponseContext(state))
+    used = ResponseContext(state)
+    solve_jacobian(used, random_hermitian(used.n_states, seed=57), 0.1)
+    assert used.applications > 0
+    assert audit_a4(used) == fresh
+    assert fresh["operator_applications"] > 0
 
 
 def test_solve_jacobian_matches_dense_lu_oracle(ctx_si1d):
