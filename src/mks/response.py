@@ -18,16 +18,21 @@ of a real symmetric tangent, the diagonal and the upper triangle, chi is
 -S^2 B, with S = sqrt|D| per coordinate and B the bare Hartree/xc kernel,
 so every question is put to the symmetric operator A = I + S B S, applied
 at O(m^2 N_grid) cost: the A4 audit takes its smallest eigenvalue by
-Lanczos (ARPACK's implicitly restarted variant) and caps it at the 1 of the
-imaginary block, and the Jacobian solve eliminates Psi by MINRES on A (A is
+Lanczos with full reorthogonalisation, which tests its smallest Ritz value
+after every step and stops once the residual estimate reaches LANCZOS_TOL
+(or raises at LANCZOS_MAX_STEPS), and caps it at the 1 of the imaginary
+block; the Jacobian solve eliminates Psi by MINRES on A (A is
 indefinite whenever A4 fails) before recovering the chemical-potential
 component from the trace constraint.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh, minres
+from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import LinearOperator, minres
 
 from .potentials import coulomb_solve
 from .smearing import fermi_dirac_dmu
@@ -42,11 +47,11 @@ __all__ = [
     "audit_a4",
 ]
 
-# Lanczos (A4 audit) and MINRES (Jacobian solves) settings.  ARPACK's
-# default of 20 Lanczos vectors stalls on the unit-eigenvalue cluster of
-# Coulomb-only states (rhf1d); 40 converge on every bundled state.  The
-# seeded start vector makes repeated audits bitwise identical.
-LANCZOS_NCV = 40
+# Lanczos (A4 audit) and MINRES (Jacobian solves) settings.  The Lanczos
+# stops once its residual estimate reaches LANCZOS_TOL relative to the
+# Ritz value; the bundled states and sweep references take 11 to 37 steps.
+# The seeded start vector makes repeated audits bitwise identical.
+LANCZOS_MAX_STEPS = 300
 LANCZOS_TOL = 1e-12
 LANCZOS_SEED = 0
 MINRES_RTOL = 1e-14
@@ -116,10 +121,14 @@ def divided_difference_table(eigenvalues, mu, smearing):
 # part, m^2 in all.
 
 
+@lru_cache(maxsize=16)
 def _sym_index(m):
-    """Row and column of each symmetric coordinate."""
+    """Row and column of each symmetric coordinate, read-only and shared."""
     iu = np.triu_indices(m, 1)
-    return tuple(np.concatenate([np.arange(m), k]) for k in iu)
+    index = tuple(np.concatenate([np.arange(m), k]) for k in iu)
+    for k in index:
+        k.flags.writeable = False
+    return index
 
 
 def _sym_to_coords(a) -> np.ndarray:
@@ -239,21 +248,42 @@ class ResponseContext:
         return LinearOperator((dim, dim), matvec=self.apply_a, dtype=float)
 
     def lowest_eigenvalue(self) -> float:
-        """Smallest eigenvalue of I - chi on all m^2 tangent coordinates."""
+        """Smallest eigenvalue of I - chi on all m^2 tangent coordinates.
+
+        Lanczos on A with full reorthogonalisation (two classical
+        Gram-Schmidt passes against every stored vector).  After each step
+        the smallest Ritz value theta of the tridiagonal matrix is tested:
+        the run stops once the residual estimate |beta_k s_k| (s_k the last
+        component of its Ritz vector) is at most LANCZOS_TOL max(|theta|, 1).
+        That covers breakdown, where the Krylov space is invariant and
+        theta is exact, and k = dim.  A run that reaches LANCZOS_MAX_STEPS
+        first raises RuntimeError.
+        """
         if not (self.hartree_on or self._fxc.any()):
-            # no Hartree term and a zero xc kernel: B = 0, so A = I.
-            # Lanczos breaks down on its first step and restarts from
-            # ARPACK's own unseeded vectors, which makes the roundoff of
-            # the result vary from call to call
+            # no Hartree term and a zero xc kernel: B = 0, so A = I
             return 1.0
         dim = self.s.size
-        if dim == 1:
-            return float(self.apply_a(np.ones(1))[0])
-        v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
-        eigs = eigsh(self._operator(), k=1, which="SA", v0=v0, tol=LANCZOS_TOL,
-                     ncv=min(LANCZOS_NCV, dim - 1), return_eigenvectors=False)
-        # m >= 2 here, so the imaginary block, where A = I, is not empty
-        return min(float(eigs[0]), 1.0)
+        v = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
+        basis = (v / np.linalg.norm(v))[None, :]
+        alpha, beta = [], []
+        for k in range(1, min(dim, LANCZOS_MAX_STEPS) + 1):
+            w = self.apply_a(basis[-1])
+            alpha.append(float(basis[-1] @ w))
+            for _ in range(2):
+                w -= basis.T @ (basis @ w)
+            norm = float(np.linalg.norm(w))
+            theta, vec = eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))
+            residual = norm * abs(vec[-1, 0])
+            if residual <= LANCZOS_TOL * max(abs(theta[0]), 1.0) or k == dim:
+                lowest = float(theta[0])
+                # for m >= 2 the imaginary block, where A = I, is not empty
+                return min(lowest, 1.0) if self.n_states > 1 else lowest
+            beta.append(norm)
+            basis = np.vstack([basis, w / norm])
+        raise RuntimeError(
+            f"Lanczos on I + S B S stopped without converging ({k} steps, "
+            f"residual estimate {residual:.3e})"
+        )
 
     def solve_chi_minus_identity(self, r) -> np.ndarray:
         """y = (chi - I)^{-1} r for a real symmetric r, both in symmetric
@@ -344,13 +374,15 @@ def audit_a4(ctx: ResponseContext) -> dict:
     similar to the symmetric A = I + S B S, whose smallest eigenvalue comes
     from Lanczos.  Reports that eigenvalue, the implied kappa =
     1 / lambda_min, the trace-row denominator under the configured g
-    convention (a MINRES solve on A) and the number of products with A
-    this audit made.  A non-positive lambda_min is flagged, not raised;
+    convention (a MINRES solve on A), the number of products with A
+    this audit made and the number of Lanczos steps among them (one
+    product each).  A non-positive lambda_min is flagged, not raised;
     the report is the deliverable.
     """
     m = ctx.n_states
     before = ctx.applications
     lambda_min = ctx.lowest_eigenvalue()
+    lanczos_steps = ctx.applications - before
     kappa = float(1.0 / lambda_min) if lambda_min > 0 else float("inf")
     g = _sym_to_coords(np.diag(ctx.g_diag))
     denominator_s = float(ctx.solve_chi_minus_identity(g)[:m].sum())
@@ -362,5 +394,6 @@ def audit_a4(ctx: ResponseContext) -> dict:
         "g_sign": ctx.g_sign,
         "tangent_dim": int(m * m),
         "operator_applications": ctx.applications - before,
+        "lanczos_steps": lanczos_steps,
         "violated": bool(lambda_min <= 0.0),
     }

@@ -20,6 +20,7 @@ from conftest import (
     rhf_quadratic_form,
 )
 from mks.cell import GridFunction
+from mks.cli import main
 from mks.config import RunConfig, bundled_config_path
 from mks.density_matrix import DensityMatrix
 from mks.harness import run_single
@@ -27,6 +28,7 @@ from mks.potentials import hartree
 from mks.response import (
     ResponseContext,
     TangentPerturbation,
+    _sym_index,
     apply_chi,
     apply_jacobian,
     audit_a4,
@@ -238,6 +240,15 @@ def test_apply_chi_agrees_with_dense_matrix(ctx_si1d):
         direct = apply_chi(ctx_si1d, psi)
         via_coords = coords_to_hermitian(chi @ hermitian_to_coords(psi), m)
         np.testing.assert_allclose(via_coords, direct, atol=1e-10)
+
+
+def test_symmetric_index_is_shared_and_read_only():
+    rows, cols = _sym_index(4)
+    assert _sym_index(4)[0] is rows
+    np.testing.assert_array_equal(rows, [0, 1, 2, 3, 0, 0, 0, 1, 1, 2])
+    np.testing.assert_array_equal(cols, [0, 1, 2, 3, 1, 2, 3, 2, 3, 3])
+    with pytest.raises(ValueError):
+        rows[0] = 1
 
 
 def test_coordinate_maps_are_inverse_isometries():
@@ -510,13 +521,18 @@ def test_audit_tiny3d_regression(ctx_tiny3d):
     assert not report["violated"]
 
 
-@pytest.mark.parametrize("name", ["si1d", "rhf1d", "tiny3d"])
-def test_audit_spectrum_equals_nonsymmetric_eigenvalues(name):
+@pytest.mark.parametrize(
+    "name, beta",
+    [("si1d", None), ("rhf1d", None), ("tiny3d", None), ("si1d", 400.0)],
+    ids=["si1d", "rhf1d", "tiny3d", "si1d-beta400"],
+)
+def test_audit_spectrum_equals_nonsymmetric_eigenvalues(name, beta):
     # the weighted-metric symmetric operator is a similarity transform of
     # I - chi, so the dense oracle's spectrum in the raw coordinates must
     # match, and the Lanczos value must be its smallest eigenvalue (rhf1d
-    # puts it inside a degenerate cluster at exactly 1)
-    ctx = ResponseContext(converged_state(name))
+    # puts it inside a degenerate cluster at exactly 1; si1d at beta 400
+    # violates A4, lambda_min near -4.19)
+    ctx = ResponseContext(converged_state(name, beta=beta))
     m = ctx.n_states
     dim = m * m
     a = np.eye(dim) - dense_chi_matrix(ctx)
@@ -538,6 +554,33 @@ def test_audit_is_deterministic(name, repeats, request):
     ctx = request.getfixturevalue(f"ctx_{name}")
     reports = {json.dumps(audit_a4(ctx), sort_keys=True) for _ in range(repeats)}
     assert len(reports) == 1
+
+
+@pytest.mark.parametrize("name", ["si1d", "tiny3d"])
+def test_lanczos_stops_when_its_ritz_value_converges(name, request):
+    # one product per Lanczos step; a fixed 40-vector factorisation takes 41
+    ctx = request.getfixturevalue(f"ctx_{name}")
+    before = ctx.applications
+    lambda_min = ctx.lowest_eigenvalue()
+    steps = ctx.applications - before
+    assert steps <= 20
+    report = audit_a4(ctx)
+    assert report["lanczos_steps"] == steps
+    assert report["lambda_min"] == lambda_min
+    assert report["operator_applications"] > steps
+
+
+def test_lanczos_step_cap_fails_with_one_line(ctx_si1d, monkeypatch, tmp_path,
+                                              capsys):
+    monkeypatch.setattr("mks.response.LANCZOS_MAX_STEPS", 2)
+    with pytest.raises(RuntimeError, match=r"\(2 steps, residual estimate") as info:
+        ctx_si1d.lowest_eigenvalue()
+    assert "\n" not in str(info.value)
+    assert main(["response", "--config", "si1d", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: Lanczos") and err.count("\n") == 1
+    assert not (tmp_path / "response_audit.json").exists()
 
 
 @pytest.mark.parametrize("name", ["si1d", "tiny3d"])
@@ -571,7 +614,7 @@ def test_solve_jacobian_matches_dense_lu_oracle(ctx_si1d):
 
 def test_audit_and_solve_on_one_plane_wave():
     # below the first nonzero shell the basis is G = 0 alone: one state,
-    # tangent dimension 1, too small for Lanczos
+    # tangent dimension 1, where one Lanczos step is exact
     text = bundled_config_path("rhf1d").read_text()
     text = text.replace("cutoff = 20.0", "cutoff = 0.1").replace(
         "n_electrons = 4", "n_electrons = 0.5"
