@@ -44,6 +44,9 @@ class DensityMatrix:
         eigenvalues: optional (m,) finite one-body eigenvalues lambda_i.
         validate: check orthonormality to 1e-10 (skip for deliberately
             non-orthonormal states such as truncated projections).
+
+    A state is never modified after construction: ``density`` keeps its
+    result on the state and hands it out again.
     """
 
     def __init__(self, basis: PlaneWaveBasis, orbitals, occupations,
@@ -78,6 +81,7 @@ class DensityMatrix:
         self.orbitals = orbitals
         self.occupations = np.clip(occupations, 0.0, 1.0)
         self.eigenvalues = eigenvalues
+        self._density = None
 
     @property
     def n_states(self):
@@ -98,10 +102,17 @@ class DensityMatrix:
 
 
 def density(gamma: DensityMatrix) -> GridFunction:
-    """rho(r) = sum_i f_i |phi_i(r)|^2 on the FFT grid (real, >= -1e-10)."""
-    grid = gamma.orbitals_on_grid()
-    rho = np.einsum("i,i...->...", gamma.occupations, np.abs(grid) ** 2)
-    return GridFunction(gamma.basis, rho)
+    """rho(r) = sum_i f_i |phi_i(r)|^2 on the FFT grid (real, >= -1e-10).
+
+    Made once per state: the first call keeps the grid function on gamma,
+    with read-only values, and every later call returns that object.
+    """
+    if gamma._density is None:
+        grid = gamma.orbitals_on_grid()
+        rho = np.einsum("i,i...->...", gamma.occupations, np.abs(grid) ** 2)
+        rho.flags.writeable = False
+        gamma._density = GridFunction(gamma.basis, rho)
+    return gamma._density
 
 
 def mode_positions(sub: PlaneWaveBasis, sup: PlaneWaveBasis) -> np.ndarray:

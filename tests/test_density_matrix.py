@@ -68,6 +68,15 @@ def test_density_matches_orbital_loop(small_basis):
     assert rho.values.min() >= -1e-12
 
 
+def test_density_is_made_once_per_state(small_basis):
+    gamma = random_density_matrix(small_basis, 4, seed=1)
+    rho = density(gamma)
+    assert density(gamma) is rho
+    assert not rho.values.flags.writeable
+    twin = DensityMatrix(small_basis, gamma.orbitals, gamma.occupations)
+    assert np.array_equal(density(twin).values, rho.values)
+
+
 def test_s11_norm_matches_dense_eigensolve(small_basis):
     gamma = random_density_matrix(small_basis, 5, seed=2)
     oracle = s11_of_dense(dense_from_projectors(gamma), small_basis)

@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from conftest import (
     converged_state,
@@ -28,6 +29,7 @@ from mks.potentials import hartree
 from mks.response import (
     ResponseContext,
     TangentPerturbation,
+    _lowest_ritz_pair,
     _sym_index,
     apply_chi,
     apply_jacobian,
@@ -445,6 +447,53 @@ def test_unsolved_jacobian_raises_with_minres_status(ctx_si1d, monkeypatch, info
         solve_jacobian(ctx_si1d, phi, 0.1)
 
 
+@pytest.mark.parametrize("name", ["si1d", "tiny3d"])
+def test_solve_after_audit_reuses_the_trace_row_solve(name):
+    # the audit made y_g = (chi - I)^-1 g; the solve adds only the MINRES
+    # products of Re Phi (and of any refinement step)
+    state = converged_state(name)
+    phi = random_hermitian(state.gamma.n_states, seed=59)
+    fresh = ResponseContext(state)
+    expected = solve_jacobian(fresh, phi, 0.3)
+    ctx = ResponseContext(state)
+    audit_a4(ctx)
+    y_g, trace_row_products = ctx.trace_row_solve()
+    assert trace_row_products > 0 and not y_g.flags.writeable
+    before = ctx.applications
+    out = solve_jacobian(ctx, phi, 0.3)
+    assert ctx.applications - before == fresh.applications - trace_row_products
+    assert np.array_equal(out.matrix, expected.matrix)
+    assert out.scalar == expected.scalar
+    assert ctx.trace_row_solve()[0] is y_g
+
+
+def test_second_jacobian_solve_makes_one_minres_solve_fewer(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return scipy.sparse.linalg.minres(*args, **kwargs)
+
+    monkeypatch.setattr("mks.response.minres", counted)
+    ctx = ResponseContext(converged_state("si1d"))
+    phi = random_hermitian(ctx.n_states, seed=60)
+    first = solve_jacobian(ctx, phi, -0.2)
+    first_calls, first_products = len(calls), ctx.applications
+    second = solve_jacobian(ctx, phi, -0.2)
+    assert len(calls) - first_calls == first_calls - 1
+    assert ctx.applications - first_products == first_products - ctx.trace_row_solve()[1]
+    assert np.array_equal(first.matrix, second.matrix) and first.scalar == second.scalar
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_solve_jacobian_rejects_non_finite_t_before_any_product(t):
+    ctx = ResponseContext(converged_state("si1d"))
+    phi = random_hermitian(ctx.n_states, seed=61)
+    with pytest.raises(ValueError, match="trace value t must be finite"):
+        solve_jacobian(ctx, phi, t)
+    assert ctx.applications == 0
+
+
 def test_solve_jacobian_validates_shape(ctx_free1d):
     with pytest.raises(ValueError):
         solve_jacobian(ctx_free1d, np.eye(2), 0.0)
@@ -568,6 +617,17 @@ def test_lanczos_stops_when_its_ritz_value_converges(name, request):
     assert report["lanczos_steps"] == steps
     assert report["lambda_min"] == lambda_min
     assert report["operator_applications"] > steps
+
+
+def test_lowest_ritz_pair_is_bitwise_the_wrapper():
+    # the two LAPACK calls eigh_tridiagonal(select="i") makes, without it
+    rng = np.random.default_rng(62)
+    for k in range(1, 41):
+        d = rng.standard_normal(k)
+        e = rng.uniform(0.1, 2.0, k - 1)
+        w, v = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+        theta, s_k = _lowest_ritz_pair(list(d), list(e))
+        assert theta == w[0] and s_k == v[-1, 0], k
 
 
 def test_lanczos_step_cap_fails_with_one_line(ctx_si1d, monkeypatch, tmp_path,

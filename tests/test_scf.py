@@ -344,6 +344,31 @@ def test_no_src_path_applies_h_through_ffts(monkeypatch):
     assert np.isfinite(out.matrix).all()
 
 
+@pytest.mark.parametrize("name", ["si1d", "tiny3d"])
+def test_free_energy_gradient_reuses_the_scf_density(monkeypatch, name):
+    # the last SCF map made density(state.gamma); the gradient transforms
+    # no orbital again, and equals the gradient of a state built afresh
+    state = converged_state(name)
+    gamma = state.gamma
+    twin = DensityMatrix(gamma.basis, gamma.orbitals, gamma.occupations,
+                         gamma.eigenvalues)
+    expected = free_energy_gradient(twin, state.external, state.xc,
+                                    state.smearing, hartree_on=state.hartree_on)
+    calls = []
+    to_grid = PlaneWaveBasis.to_grid
+
+    def counted(self, coeffs):
+        calls.append(None)
+        return to_grid(self, coeffs)
+
+    monkeypatch.setattr(PlaneWaveBasis, "to_grid", counted)
+    grad = free_energy_gradient(gamma, state.external, state.xc,
+                                state.smearing, hartree_on=state.hartree_on)
+    assert calls == []
+    assert np.array_equal(grad, expected)
+    assert density(gamma) is state.rho
+
+
 def test_lowest_eigenpairs_free_particle_exact():
     basis = build_basis(Cell(10.0), 12.0)
     ham = Hamiltonian(basis, GridFunction(basis, np.zeros(basis.fft_shape)))
