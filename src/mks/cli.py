@@ -102,12 +102,14 @@ def _cmd_scf(args, config) -> int:
         "trace": state.gamma.trace(),
         "n_states": state.gamma.n_states,
         "basis_exhausted": state.gamma.n_states == state.basis.size,
+        "precond_products": sum(row["precond_products"] for row in state.history),
     }
     out = _out_dir(args, config)
     log_path = os.path.join(out, "scf_iterations.csv")
     with open(log_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "free_energy", "density_residual", "mu"])
+        writer.writerow(["iteration", "free_energy", "density_residual", "mu",
+                         "n_states", "precond_products"])
         for row in state.history:
             writer.writerow(
                 [
@@ -115,6 +117,8 @@ def _cmd_scf(args, config) -> int:
                     f"{row['free_energy']:.17g}",
                     f"{row['density_residual']:.17g}",
                     f"{row['mu']:.17g}",
+                    row["n_states"],
+                    row["precond_products"],
                 ]
             )
     chk_path = os.path.join(out, "checkpoint.json")

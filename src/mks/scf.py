@@ -8,15 +8,29 @@ in the basis {sqrt2 cos(G.r), sqrt2 sin(G.r), 1} every H is real symmetric
 (the Gamma-point trick of plane-wave codes, Kresse & Furthmueller 1996).
 That dense H, refused above DENSE_MAX_PLANE_WAVES with EigensolverError,
 is the only form of H here: residual checks and gradients multiply by it.
+
+The fixed point is found by Anderson mixing.  Far from it the mixer takes
+the residual r = rho_out - rho_in with alpha 0.5.  Once the density
+residual is below PRECOND_THRESHOLD, it takes the dielectric-preconditioned
+residual delta rho = (I - J)^{-1} r with alpha 1 instead, where J = chi_0 K
+is the density response of the current iterate at a fixed electron count
+(ResponseContext.density_response) and the solve is one loose GMRES cycle
+(Herbst & Levitt, J. Phys.: Condens. Matter 33, 085503 (2021)).  The
+threshold keeps the step away from the first iterates, whose response can
+be far from the fixed point's: from the uniform density at beta 1e4 on
+si1d every f' of the first iterates underflows, and an SCF preconditioned
+from its first step does not converge there within 200 iterations.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.linalg
 from scipy.linalg import blas
-# not called here: bound only so that perfbench/tracing.py can wrap it
-from scipy.sparse.linalg import lobpcg  # noqa: F401
+# lobpcg is not called here: bound only so that perfbench/tracing.py can wrap it
+from scipy.sparse.linalg import LinearOperator, gmres, lobpcg  # noqa: F401
 
 from .cell import GridFunction, PlaneWaveBasis, l2_norm
 from .density_matrix import (
@@ -27,6 +41,7 @@ from .density_matrix import (
     free_energy,
 )
 from .potentials import ExternalPotential, XcFunctional, assemble_effective
+from .response import ResponseContext
 from .smearing import Smearing, fermi_dirac, solve_mu
 
 __all__ = [
@@ -50,6 +65,9 @@ STATE_BUFFER = 8
 RESIDUAL_TOL = 1e-8
 MIXING_ALPHA = 0.5
 ANDERSON_WINDOW = 5
+PRECOND_THRESHOLD = 1e-2
+PRECOND_RTOL = 1e-2
+PRECOND_RESTART = 50
 
 
 class EigensolverError(RuntimeError):
@@ -212,17 +230,25 @@ def fixed_point_map(rho_in: GridFunction, external: ExternalPotential,
 class _AndersonMixer:
     """Anderson acceleration over density iterates (Walker & Ni 2011).
 
-    Keeps the last ANDERSON_WINDOW input densities and residuals
-    rho_out - rho_in, and mixes the least-squares combination of them with
-    MIXING_ALPHA; the first step is plain damping with that alpha.
+    Keeps the last ANDERSON_WINDOW input densities and the residuals fed
+    with them, and mixes the least-squares combination of them with alpha
+    1 for dielectric-preconditioned residuals and MIXING_ALPHA for plain
+    ones.  Residuals of the two kinds do not mix in one least-squares fit,
+    so the history restarts whenever the kind changes; the first step
+    after a restart is plain damping.
     """
 
     def __init__(self):
         self.inputs = []
         self.residuals = []
+        self.preconditioned = False
 
-    def step(self, rho_in, rho_out):
-        r = rho_out - rho_in
+    def step(self, rho_in, r, preconditioned):
+        if preconditioned != self.preconditioned:
+            self.inputs.clear()
+            self.residuals.clear()
+            self.preconditioned = preconditioned
+        alpha = 1.0 if preconditioned else MIXING_ALPHA
         self.inputs.append(rho_in.copy())
         self.residuals.append(r.copy())
         if len(self.inputs) > ANDERSON_WINDOW:
@@ -230,13 +256,45 @@ class _AndersonMixer:
             self.residuals.pop(0)
         h = len(self.inputs)
         if h == 1:
-            return rho_in + MIXING_ALPHA * r
+            return rho_in + alpha * r
         dr = np.stack([self.residuals[j + 1] - self.residuals[j] for j in range(h - 1)])
         dx = np.stack([self.inputs[j + 1] - self.inputs[j] for j in range(h - 1)])
         coef, *_ = np.linalg.lstsq(dr.reshape(h - 1, -1).T, r.ravel(), rcond=None)
         x_bar = rho_in - np.tensordot(coef, dx, axes=1)
         r_bar = r - np.tensordot(coef, dr, axes=1)
-        return x_bar + MIXING_ALPHA * r_bar
+        return x_bar + alpha * r_bar
+
+
+class _Iterate(NamedTuple):
+    """What ResponseContext reads of a state, here an SCF iterate: the
+    map's output state and the input density its Hamiltonian was built on."""
+
+    gamma: DensityMatrix
+    mu: float
+    rho: GridFunction
+    xc: XcFunctional
+    smearing: Smearing
+    hartree_on: bool
+
+
+def dielectric_solve(ctx: ResponseContext, r: np.ndarray, rtol=PRECOND_RTOL):
+    """delta rho = (I - J)^{-1} r, with J = ctx.density_response, by one
+    GMRES cycle of at most PRECOND_RESTART products.
+
+    Returns delta rho in r's shape and the number of products with I - J.
+    Every Krylov vector of I - J from r keeps the integral of r, so
+    int delta rho = int r to roundoff.
+    """
+    products = 0
+
+    def matvec(x):
+        nonlocal products
+        products += 1
+        return x - ctx.density_response(x)
+
+    op = LinearOperator((r.size, r.size), matvec=matvec, dtype=float)
+    drho, _ = gmres(op, r.ravel(), rtol=rtol, restart=PRECOND_RESTART, maxiter=1)
+    return drho.reshape(r.shape), products
 
 
 class ScfState:
@@ -303,12 +361,22 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
             xc: XcFunctional, smearing: Smearing, n_electrons: float,
             hartree_on=True, tol_rho=1e-8, tol_f=1e-10,
             max_iter=200, initial_rho: GridFunction | None = None) -> ScfState:
-    """Anderson-accelerated self-consistent field loop.
+    """Self-consistent field loop with dielectric-preconditioned Anderson.
 
     Starts from the uniform density N/|Omega| (or ``initial_rho`` when
     given, e.g. to restart from a converged density); converged when the
     density update falls below tol_rho in L2 and the free energy moves by
     less than tol_f.  Raises ScfError on non-convergence.
+
+    While the density residual ||rho_out - rho_in|| is at least
+    PRECOND_THRESHOLD, each step is plain Anderson on r = rho_out - rho_in
+    with alpha MIXING_ALPHA.  Below it, r is replaced by delta rho solving
+    (I - J) delta rho = r (``dielectric_solve``), J the response of the
+    map's output state with the kernel at rho_in, and the step mixes with
+    alpha 1.  The Anderson history restarts whenever the step changes kind.
+    Each history record holds the iteration, free energy, density residual,
+    mu, the number of states kept and ``precond_products``, the products
+    with I - J its step took (0 on a plain step).
     """
     if n_electrons <= 0:
         raise ValueError("n_electrons must be positive")
@@ -342,13 +410,21 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
                 "free_energy": breakdown.total,
                 "density_residual": delta,
                 "mu": mu,
+                "n_states": n_states,
+                "precond_products": 0,
             }
         )
         if f_prev is not None and delta <= tol_rho and abs(breakdown.total - f_prev) <= tol_f:
             break
         f_prev = breakdown.total
-        mixed = mixer.step(rho_in.values, rho_out.values)
-        rho_in = GridFunction(basis, mixed)
+        r = rho_out.values - rho_in.values
+        precondition = delta < PRECOND_THRESHOLD
+        if precondition:
+            iterate = _Iterate(gamma, mu, rho_in, xc, smearing, hartree_on)
+            r, history[-1]["precond_products"] = dielectric_solve(
+                ResponseContext(iterate, scipy_blas=True), r
+            )
+        rho_in = GridFunction(basis, mixer.step(rho_in.values, r, precondition))
     else:
         raise ScfError(
             f"no convergence in {max_iter} iterations "

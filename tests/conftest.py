@@ -1,5 +1,6 @@
 """Shared fixtures: converged benchmark states, solved once per session,
-the dense column-by-column oracle of the response operator, and the
+the dense column-by-column oracle of the response operator, the dense
+grid oracle of the SCF's dielectric preconditioner, and the
 density-matrix oracles the tests build states and quadratic forms with."""
 
 import weakref
@@ -81,6 +82,25 @@ def dense_bare_matrix(ctx):
             cols[:, alpha] = hermitian_to_coords(ctx.matrix_elements(dv))
         _DENSE_BARE[ctx] = cols
     return _DENSE_BARE[ctx]
+
+
+def dense_dielectric_matrix(ctx):
+    """The SCF preconditioner's epsilon = I - J on the grid, built entry by
+    entry: J = (chi_0 - rho_d rho_d^T w / sum_i D_ii) K, with chi_0 =
+    P diag(D) P^T w for the pair products P[x, ij] = phi_i(x) phi_j(x),
+    rho_d = sum_i D_ii phi_i^2, and K the kernel applied to each grid unit
+    vector.  The shift is left out when sum_i D_ii is 0."""
+    grid = ctx.grid_orbitals
+    m, n = grid.shape
+    w = ctx.weight
+    d = ctx.dd_table
+    pairs = (grid[:, None, :] * grid[None, :, :]).reshape(m * m, n).T
+    chi0 = w * (pairs * d.ravel()) @ pairs.T
+    rho_d = (d.diagonal()[:, None] * grid**2).sum(axis=0)
+    if d.diagonal().sum() != 0.0:
+        chi0 -= w * np.outer(rho_d, rho_d) / d.diagonal().sum()
+    kernel = np.stack([ctx.kernel_potential(e) for e in np.eye(n)], axis=1)
+    return np.eye(n) - chi0 @ kernel
 
 
 def dense_chi_matrix(ctx):

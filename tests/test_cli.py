@@ -48,10 +48,16 @@ def test_scf_json_mode(tmp_path, capsys):
     assert read_json(out / "scf_summary.json") == summary
 
     lines = (out / "scf_iterations.csv").read_text().strip().split("\n")
-    assert lines[0] == "iteration,free_energy,density_residual,mu"
+    assert lines[0] == (
+        "iteration,free_energy,density_residual,mu,n_states,precond_products"
+    )
     assert len(lines) == 1 + summary["iterations"]
     last = lines[-1].split(",")
     assert float(last[1]) == summary["free_energy"]["total"]
+    assert int(last[4]) == summary["n_states"]
+    # the converged iteration takes no step, so it makes no product
+    assert int(last[5]) == 0
+    assert sum(int(line.split(",")[5]) for line in lines[1:]) == summary["precond_products"]
 
     gamma, meta = load_density_matrix(out / "checkpoint.json")
     assert gamma.trace() == pytest.approx(2.0, abs=1e-12)
