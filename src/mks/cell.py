@@ -12,7 +12,9 @@ Conventions used throughout the package:
   v(r) = sum_G vhat(G) exp(i G.r) (``fourier_coefficients``,
   ``fourier_values``),
 * a ``GridFunction`` holds a real field (a density or a potential) and
-  refuses complex samples; orbitals on the grid are plain complex arrays,
+  refuses complex samples; orbitals on the grid are plain arrays, float64
+  from ``real_to_grid`` for real functions (c(-G) = conj c(G)), two to a
+  complex FFT, and complex from ``to_grid`` otherwise,
 * ``resample`` is the one way a field moves to another basis' grid.
 
 Every transform in the package goes through ``PlaneWaveBasis``, on the
@@ -202,6 +204,35 @@ class PlaneWaveBasis:
         values = ifftn(spec, axes=self._grid_axes)
         values *= self.n_grid / np.sqrt(self.cell.volume)
         return values
+
+    def real_to_grid(self, coefficients) -> np.ndarray:
+        """Synthesize real functions ``sum_G c_G e_G``, two per complex FFT.
+
+        Each row of the (m, size) block must satisfy c(-G) = conj c(G),
+        where the partner of index i is size - 1 - i; the caller checks
+        that.  Rows a and b are packed as c_a + i c_b, whose synthesis is
+        phi_a + i phi_b, and an odd m is padded with one zero row.  Returns
+        C-contiguous float64 samples of shape (m, n_grid), each row a
+        flattened grid, scaled as ``to_grid``.
+        """
+        coefficients = np.asarray(coefficients)
+        if coefficients.ndim != 2 or coefficients.shape[1] != self.size:
+            raise ValueError(
+                f"expected (m, {self.size}) coefficients, got shape {coefficients.shape}"
+            )
+        m = coefficients.shape[0]
+        pairs = (m + 1) // 2
+        packed = coefficients[0::2].astype(complex)
+        packed[: m // 2] += 1j * coefficients[1::2]
+        spec = np.zeros((pairs,) + self.fft_shape, dtype=complex)
+        spec[(Ellipsis,) + self._grid_index] = packed
+        values = ifftn(spec, axes=self._grid_axes, overwrite_x=True)
+        values = values.reshape(pairs, self.n_grid)
+        scale = self.n_grid / np.sqrt(self.cell.volume)
+        samples = np.empty((2 * pairs, self.n_grid))
+        np.multiply(values.real, scale, out=samples[0::2])
+        np.multiply(values.imag, scale, out=samples[1::2])
+        return samples[:m]
 
     def from_grid(self, values) -> np.ndarray:
         """Extract basis coefficients from grid samples (inverse of to_grid

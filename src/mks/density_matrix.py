@@ -45,8 +45,16 @@ class DensityMatrix:
         validate: check orthonormality to 1e-10 (skip for deliberately
             non-orthonormal states such as truncated projections).
 
-    A state is never modified after construction: ``density`` keeps its
-    result on the state and hands it out again.
+    Whether the orbitals are real functions, c(-G) = conj c(G) in every
+    column to 1e-10 of the largest coefficient (the partner of index i is
+    npw - 1 - i), is decided once, at construction, and kept in
+    ``real_functions``.  Every orbital the SCF makes is one.  Such a state
+    is sampled on the grid in real arithmetic, two orbitals per complex
+    FFT, once: ``orbitals_on_grid`` keeps the samples, which ``density``
+    and a ``ResponseContext`` of the state read.  Any other state, such as
+    a random or phase-turned one, takes the complex transform and keeps no
+    samples.  A state is never modified after construction: ``density``
+    keeps its result on the state and hands it out again.
     """
 
     def __init__(self, basis: PlaneWaveBasis, orbitals, occupations,
@@ -81,6 +89,8 @@ class DensityMatrix:
         self.orbitals = orbitals
         self.occupations = np.clip(occupations, 0.0, 1.0)
         self.eigenvalues = eigenvalues
+        self.real_functions = _are_real_functions(orbitals)
+        self._grid = None
         self._density = None
 
     @property
@@ -91,14 +101,31 @@ class DensityMatrix:
         return float(self.occupations.sum())
 
     def orbitals_on_grid(self) -> np.ndarray:
-        """Orbitals sampled on the FFT grid, shape (m, *fft_shape)."""
-        return self.basis.to_grid(self.orbitals.T)
+        """Orbitals sampled on the FFT grid, one flattened row each, shape
+        (m, n_grid).  For real functions the samples are float64, made on
+        the first call and returned read-only afterwards; otherwise they
+        are complex and made afresh."""
+        if not self.real_functions:
+            return self.basis.to_grid(self.orbitals.T).reshape(self.n_states, -1)
+        if self._grid is None:
+            grid = self.basis.real_to_grid(self.orbitals.T)
+            grid.flags.writeable = False
+            self._grid = grid
+        return self._grid
 
     def __repr__(self):
         return (
             f"DensityMatrix(states={self.n_states}, trace={self.trace():.6g}, "
             f"basis={self.basis!r})"
         )
+
+
+def _are_real_functions(orbitals) -> bool:
+    """c(-G) = conj c(G) in every column, to 1e-10 of the largest entry."""
+    if not orbitals.size:
+        return True
+    mirror = np.abs(orbitals - orbitals[::-1].conj()).max()
+    return bool(mirror <= 1e-10 * np.abs(orbitals).max())
 
 
 def density(gamma: DensityMatrix) -> GridFunction:
@@ -109,7 +136,11 @@ def density(gamma: DensityMatrix) -> GridFunction:
     """
     if gamma._density is None:
         grid = gamma.orbitals_on_grid()
-        rho = np.einsum("i,i...->...", gamma.occupations, np.abs(grid) ** 2)
+        if gamma.real_functions:
+            rho = gamma.occupations @ grid**2
+        else:
+            rho = np.einsum("i,ix->x", gamma.occupations, np.abs(grid) ** 2)
+        rho = rho.reshape(gamma.basis.fft_shape)
         rho.flags.writeable = False
         gamma._density = GridFunction(gamma.basis, rho)
     return gamma._density

@@ -9,7 +9,9 @@ where D is the divided-difference table of the occupation function (its
 diagonal is f') and dv collects the Hartree and local xc kernels.  The
 constrained Jacobian pairs chi - I with the trace row.
 
-The orbitals are real functions, so the pair density
+The orbitals are real functions, and a context reads the float64 grid
+samples its state keeps (DensityMatrix.orbitals_on_grid, shared with the
+state's density), so the pair density
 rho_Psi = sum_ij Psi_ij phi_i phi_j sees only the real symmetric part of
 Psi: chi annihilates the imaginary antisymmetric part, where I - chi = I,
 and that part has no trace, so the Jacobian solve answers it in closed
@@ -210,10 +212,12 @@ class ResponseContext:
         self.n_states = gamma.n_states
         self.scipy_blas = scipy_blas
 
-        grid = gamma.orbitals_on_grid().reshape(self.n_states, -1)
-        if not np.abs(grid.imag).max() <= 1e-10 * np.abs(grid).max():
-            raise ValueError("response context requires real orbitals on the grid")
-        self.grid_orbitals = np.ascontiguousarray(grid.real)
+        if not gamma.real_functions:
+            raise ValueError(
+                "response context requires real orbitals, c(-G) = conj c(G)"
+            )
+        # the state's own read-only samples, shared with density(gamma)
+        self.grid_orbitals = gamma.orbitals_on_grid()
         self.weight = self.basis.quadrature_weight
         self.dd_table = divided_difference_table(
             self.eigenvalues, self.mu, self.smearing

@@ -15,7 +15,11 @@ residual is below PRECOND_THRESHOLD, it takes the dielectric-preconditioned
 residual delta rho = (I - J)^{-1} r with alpha 1 instead, where J = chi_0 K
 is the density response of the current iterate at a fixed electron count
 (ResponseContext.density_response) and the solve is one loose GMRES cycle
-(Herbst & Levitt, J. Phys.: Condens. Matter 33, 085503 (2021)).  The
+(Herbst & Levitt, J. Phys.: Condens. Matter 33, 085503 (2021)), written
+here so that it makes only the products it uses: scipy's gmres closes each
+cycle with a product b - A x that this loop has no use for.  The context
+reads the grid samples the iterate's density was made from, so a
+preconditioned step transforms no orbital again.  The
 threshold keeps the step away from the first iterates, whose response can
 be far from the fixed point's: from the uniform density at beta 1e4 on
 si1d every f' of the first iterates underflows, and an SCF preconditioned
@@ -24,13 +28,14 @@ from its first step does not converge there within 200 iterations.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import blas
 # lobpcg is not called here: bound only so that perfbench/tracing.py can wrap it
-from scipy.sparse.linalg import LinearOperator, gmres, lobpcg  # noqa: F401
+from scipy.sparse.linalg import lobpcg  # noqa: F401
 
 from .cell import GridFunction, PlaneWaveBasis, l2_norm
 from .density_matrix import (
@@ -68,6 +73,7 @@ ANDERSON_WINDOW = 5
 PRECOND_THRESHOLD = 1e-2
 PRECOND_RTOL = 1e-2
 PRECOND_RESTART = 50
+_EPS = float(np.finfo(float).eps)
 
 
 class EigensolverError(RuntimeError):
@@ -279,22 +285,57 @@ class _Iterate(NamedTuple):
 
 def dielectric_solve(ctx: ResponseContext, r: np.ndarray, rtol=PRECOND_RTOL):
     """delta rho = (I - J)^{-1} r, with J = ctx.density_response, by one
-    GMRES cycle of at most PRECOND_RESTART products.
+    restarted-GMRES cycle from x0 = 0.
 
-    Returns delta rho in r's shape and the number of products with I - J.
-    Every Krylov vector of I - J from r keeps the integral of r, so
-    int delta rho = int r to roundoff.
+    Arnoldi with classical Gram-Schmidt applied twice builds the Krylov
+    basis of I - J from r, and Givens rotations on Python floats keep the
+    least-squares residual |g_{k+1}| of step k.  The cycle stops, as
+    scipy's gmres does, once |g_{k+1}| <= rtol ||r||, on breakdown, or
+    after min(PRECOND_RESTART, r.size) steps; delta rho then comes from
+    the triangular system, with no closing product b - A x.  Returns
+    delta rho in r's shape and the number of products with I - J, one a
+    step (none for a zero r).  Every Krylov vector keeps the integral of
+    r, so int delta rho = int r to roundoff.
     """
-    products = 0
-
-    def matvec(x):
-        nonlocal products
-        products += 1
-        return x - ctx.density_response(x)
-
-    op = LinearOperator((r.size, r.size), matvec=matvec, dtype=float)
-    drho, _ = gmres(op, r.ravel(), rtol=rtol, restart=PRECOND_RESTART, maxiter=1)
-    return drho.reshape(r.shape), products
+    b = r.ravel()
+    norm_b = float(np.linalg.norm(b))
+    if norm_b == 0.0:
+        return np.zeros_like(r), 0
+    steps = min(PRECOND_RESTART, b.size)
+    krylov = np.empty((steps + 1, b.size))
+    krylov[0] = b / norm_b
+    columns = []      # the triangular factor, column by column
+    rotations = []    # (c, s) of each Givens rotation
+    g = [norm_b]      # rotated right-hand side of the least-squares problem
+    for k in range(steps):
+        w = krylov[k] - ctx.density_response(krylov[k])
+        before = float(np.linalg.norm(w))
+        done = krylov[: k + 1]
+        h = np.zeros(k + 1)
+        for _ in range(2):
+            coef = done @ w
+            w -= coef @ done
+            h += coef
+        norm = float(np.linalg.norm(w))
+        breakdown = norm <= _EPS * before
+        col = h.tolist() + [0.0 if breakdown else norm]
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        diagonal = math.hypot(col[k], col[k + 1])
+        c, s = col[k] / diagonal, col[k + 1] / diagonal
+        rotations.append((c, s))
+        col[k] = diagonal
+        columns.append(col[: k + 1])
+        g.append(-s * g[k])
+        g[k] *= c
+        if abs(g[k + 1]) <= rtol * norm_b or breakdown:
+            break
+        krylov[k + 1] = w / norm
+    n = len(columns)
+    y = g[:n]
+    for i in reversed(range(n)):
+        y[i] = (y[i] - sum(columns[j][i] * y[j] for j in range(i + 1, n))) / columns[i][i]
+    return (np.asarray(y) @ krylov[:n]).reshape(r.shape), n
 
 
 class ScfState:

@@ -85,6 +85,38 @@ def test_to_grid_round_trip_and_parseval():
     assert grid_norm(basis, u) == pytest.approx(np.linalg.norm(coeff), abs=1e-13)
 
 
+def real_function_coefficients(basis, m, seed):
+    """(m, size) random coefficients with c(-G) = conj c(G) in every row."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((m, basis.size)) + 1j * rng.standard_normal((m, basis.size))
+    return 0.5 * (c + c[:, ::-1].conj())
+
+
+@pytest.mark.parametrize("m", [1, 4, 7])
+@pytest.mark.parametrize("lattice, cutoff", [
+    (10.0, 12.0),
+    ([[6.0, 0.0], [1.5, 7.0]], 4.0),
+    ([5.0, 6.0, 7.0], 6.0),
+])
+def test_real_to_grid_matches_the_complex_transform(lattice, cutoff, m):
+    # two real functions per complex FFT, an odd m padded with a zero row
+    basis = build_basis(Cell(lattice), cutoff)
+    coeff = real_function_coefficients(basis, m, seed=m)
+    samples = basis.real_to_grid(coeff)
+    assert samples.shape == (m, basis.n_grid) and samples.dtype == np.float64
+    assert samples.flags.c_contiguous
+    oracle = basis.to_grid(coeff).real.reshape(m, -1)
+    assert np.abs(samples - oracle).max() <= 1e-15 * np.abs(oracle).max()
+
+
+def test_real_to_grid_validates_shape():
+    basis = build_basis(Cell(10.0), 4.0)
+    with pytest.raises(ValueError, match="coefficients"):
+        basis.real_to_grid(np.zeros(basis.size))
+    with pytest.raises(ValueError, match="coefficients"):
+        basis.real_to_grid(np.zeros((2, basis.size + 1)))
+
+
 def test_single_mode_norms_and_integral():
     basis = build_basis(Cell(10.0), 12.0)
     k = 7

@@ -23,6 +23,7 @@ from mks.density_matrix import (
     s11_distance,
 )
 from mks.potentials import ExternalPotential, gaussian_wells, null_xc
+from mks.response import ResponseContext
 from mks.smearing import Smearing, entropy
 
 
@@ -75,6 +76,44 @@ def test_density_is_made_once_per_state(small_basis):
     assert not rho.values.flags.writeable
     twin = DensityMatrix(small_basis, gamma.orbitals, gamma.occupations)
     assert np.array_equal(density(twin).values, rho.values)
+
+
+def complex_formula_density(gamma):
+    """sum_i f_i |phi_i|^2 from the complex transform of every orbital."""
+    grid = gamma.basis.to_grid(gamma.orbitals.T)
+    return np.einsum("i,i...->...", gamma.occupations, np.abs(grid) ** 2)
+
+
+@pytest.mark.parametrize("name", ["si1d", "tiny3d"])
+def test_real_function_density_matches_the_complex_formula(name):
+    gamma = converged_state(name).gamma
+    twin = DensityMatrix(gamma.basis, gamma.orbitals, gamma.occupations,
+                         gamma.eigenvalues)
+    assert twin.real_functions
+    grid = twin.orbitals_on_grid()
+    assert grid.dtype == np.float64 and grid.shape == (twin.n_states, twin.basis.n_grid)
+    assert not grid.flags.writeable
+    assert twin.orbitals_on_grid() is grid
+    oracle = complex_formula_density(twin)
+    rho = density(twin).values
+    assert np.abs(rho - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
+def test_constant_phase_state_takes_the_complex_path():
+    # the same Gamma, but its orbitals are no longer real functions
+    state = converged_state("si1d")
+    gamma = state.gamma
+    turned = DensityMatrix(gamma.basis, gamma.orbitals * np.exp(0.3j),
+                           gamma.occupations, gamma.eigenvalues)
+    assert not turned.real_functions
+    grid = turned.orbitals_on_grid()
+    assert np.iscomplexobj(grid) and turned.orbitals_on_grid() is not grid
+    rho = density(turned).values
+    assert np.array_equal(rho, complex_formula_density(turned))
+    assert np.abs(rho - state.rho.values).max() <= 1e-14 * np.abs(rho).max()
+    with pytest.raises(ValueError, match="real orbitals"):
+        ResponseContext(scf._Iterate(turned, state.mu, state.rho, state.xc,
+                                     state.smearing, state.hartree_on))
 
 
 def test_s11_norm_matches_dense_eigensolve(small_basis):
