@@ -76,11 +76,6 @@ class DensityMatrix:
             if eigenvalues.shape != occupations.shape or not np.isfinite(eigenvalues).all():
                 raise ValueError("eigenvalues not finite or not one per orbital")
         if validate and orbitals.shape[1]:
-            # numpy and scipy each ship their own OpenBLAS thread pool. After
-            # a threaded numpy product, numpy's workers busy-wait on the cores
-            # that scipy's eigh then needs: on tiny3d at 251 plane waves (2
-            # vCPU) the next partial eigh took 27 ms instead of 15 ms. So
-            # products that run next to the eigensolver use scipy's BLAS.
             overlap = blas.zgemm(1.0, orbitals, orbitals, trans_a=2)
             drift = np.abs(overlap - np.eye(orbitals.shape[1])).max()
             if not drift <= 1e-10:
@@ -184,8 +179,7 @@ def _difference_core(a_orbitals, a_occupations, b_orbitals, b_occupations):
         return blas.zgemm(1.0, stacked * d, stacked, trans_b=2)
     # scipy pads a tall R with zero rows; keep the ma + mb others
     r = scipy.linalg.qr(stacked, mode="r")[0][: stacked.shape[1]]
-    # (r * d) @ r.conj().T, passing BLAS the operands in the order numpy's
-    # matmul does, so that unthreaded results match that product bit for bit
+    # (r * d) @ r.conj().T
     return blas.zgemm(1.0, r.conj().T, (r * d).T, trans_a=1).T
 
 
@@ -205,7 +199,6 @@ def s11_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
     def trace_abs(left, right):
         core = _difference_core(left, a.occupations, right, b.occupations)
-        # scipy's LAPACK, on the pool that built the core (see DensityMatrix)
         return float(np.abs(scipy.linalg.eigvalsh(core)).sum())
 
     scale = np.sqrt(common.g_norm2)[:, None]
@@ -259,14 +252,14 @@ class FreeEnergyBreakdown:
 
 
 def free_energy(gamma: DensityMatrix, external: ExternalPotential,
-                xc: XcFunctional, smearing: Smearing, hartree_on=True,
-                rho: GridFunction | None = None) -> FreeEnergyBreakdown:
+                xc: XcFunctional, smearing: Smearing,
+                hartree_on=True) -> FreeEnergyBreakdown:
     """Mermin free energy of a state.
 
     F = Tr(-1/2 Laplacian Gamma) + int v_ext rho + Hartree + int e_xc(rho)
       + beta^-1 sum_i [f_i ln f_i + (1 - f_i) ln(1 - f_i)],
-    the entropy evaluated through occupations only.  ``rho`` is
-    ``density(gamma)`` when the caller already has it.
+    the entropy evaluated through occupations only; rho is density(gamma),
+    which the state keeps once made.
     """
     kinetic = float(
         np.einsum(
@@ -276,9 +269,7 @@ def free_energy(gamma: DensityMatrix, external: ExternalPotential,
             np.abs(gamma.orbitals) ** 2,
         )
     )
-    if rho is None:
-        rho = density(gamma)
-    terms = assemble_effective(rho, external, xc, hartree_on=hartree_on)
+    terms = assemble_effective(density(gamma), external, xc, hartree_on=hartree_on)
     s = entropy(gamma.occupations, smearing)
     return FreeEnergyBreakdown(kinetic, terms.e_ext, terms.e_hartree,
                                terms.e_xc, s)

@@ -185,16 +185,16 @@ class ResponseContext:
     The SCF also builds a context of each iterate near its fixed point,
     for the density response ``density_response`` its preconditioner
     inverts; any object with the ``gamma``, ``mu``, ``rho``, ``xc``,
-    ``smearing`` and ``hartree_on`` of a state will do.  With
-    ``scipy_blas`` the two grid products of ``pair_density`` and
-    ``matrix_elements`` run on scipy's OpenBLAS pool, like the eigensolver
-    they alternate with there: numpy's idle workers would spin on the cores
-    the next eigh needs.  Audits and Jacobian solves keep numpy's pool,
-    where scipy's would spin instead (audit operations ran 2.1x slower
-    on 2 vCPU).
+    ``smearing`` and ``hartree_on`` of a state will do.
+
+    The context's dense products, like every dense product of the package
+    but the SCF loop's small numpy ones, go to scipy's BLAS, the pool its
+    LAPACK (eigh, qr, the tridiagonal solve) uses: numpy and scipy each
+    ship their own OpenBLAS, and after a threaded product on one pool its
+    idle workers busy-wait on the cores the other then needs.
     """
 
-    def __init__(self, state, g_sign: str = "paper", scipy_blas: bool = False):
+    def __init__(self, state, g_sign: str = "paper"):
         gamma = state.gamma
         if gamma.eigenvalues is None:
             raise ValueError("response context requires stored eigenvalues")
@@ -210,7 +210,6 @@ class ResponseContext:
         self.xc = state.xc
         self.g_sign = g_sign
         self.n_states = gamma.n_states
-        self.scipy_blas = scipy_blas
 
         if not gamma.real_functions:
             raise ValueError(
@@ -237,11 +236,8 @@ class ResponseContext:
         """rho_Psi(r) = sum_ij Psi_ij phi_i(r) phi_j(r), flattened.  For a
         Hermitian Psi the imaginary part is antisymmetric and drops out."""
         grid = self.grid_orbitals
-        if self.scipy_blas:
-            # (grid.T psi).T; grid.T is Fortran-ordered, so BLAS reads it in place
-            mixed = blas.dgemm(1.0, grid.T, np.real(psi)).T
-        else:
-            mixed = np.tensordot(np.real(psi), grid, axes=([0], [0]))
+        # (grid.T psi).T; grid.T is Fortran-ordered, so BLAS reads it in place
+        mixed = blas.dgemm(1.0, grid.T, np.real(psi)).T
         return np.einsum("jx,jx->x", mixed, grid)
 
     def kernel_potential(self, rho_flat) -> np.ndarray:
@@ -255,9 +251,7 @@ class ResponseContext:
     def matrix_elements(self, potential_flat) -> np.ndarray:
         """M_ij = <phi_i| v |phi_j> by grid quadrature."""
         weighted = self.grid_orbitals * potential_flat
-        if self.scipy_blas:
-            return blas.dgemm(self.weight, self.grid_orbitals.T, weighted.T, trans_a=1)
-        return self.weight * (self.grid_orbitals @ weighted.T)
+        return blas.dgemm(self.weight, self.grid_orbitals.T, weighted.T, trans_a=1)
 
     def kernel_matrix(self, psi) -> np.ndarray:
         """The bare kernel B Psi = <phi_i| dv[rho_Psi] |phi_j>."""
@@ -323,7 +317,7 @@ class ResponseContext:
             w = self.apply_a(basis[-1])
             alpha.append(float(basis[-1] @ w))
             for _ in range(2):
-                w -= basis.T @ (basis @ w)
+                w -= blas.dgemv(1.0, basis.T, blas.dgemv(1.0, basis.T, w, trans=1))
             norm = float(np.linalg.norm(w))
             theta, s_k = _lowest_ritz_pair(alpha, beta)
             residual = norm * abs(s_k)

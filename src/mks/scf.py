@@ -100,8 +100,9 @@ class Hamiltonian:
         self._dense = None
 
     def apply(self, block: np.ndarray) -> np.ndarray:
-        """H times a (size, k) block of coefficient vectors, with numpy's @."""
-        return self.dense() @ block
+        """H times a (size, k) block of coefficient vectors.  dense().T with
+        trans_a=1 reads H in place, with no Fortran-order copy."""
+        return blas.zgemm(1.0, self.dense().T, block, trans_a=1)
 
     def dense(self) -> np.ndarray:
         """The dense matrix H_GG' = |G|^2/2 delta + vhat(G - G').
@@ -176,14 +177,10 @@ def lowest_eigenpairs(ham: Hamiltonian, m: int):
     basis = ham.basis
     if not 0 < m <= basis.size:
         raise ValueError(f"need 1 <= m <= {basis.size}, got {m}")
-    h = ham.dense()
-    vals, x = scipy.linalg.eigh(_real_form(h), subset_by_index=[0, m - 1])
+    vals, x = scipy.linalg.eigh(_real_form(ham.dense()), subset_by_index=[0, m - 1])
     x *= np.sign(x[np.argmax(np.abs(x), axis=0), np.arange(m)])
     vecs = _from_real_form(x)
-
-    # scipy's BLAS pool, as its eigh: numpy's would spin on the cores eigh
-    # needs; h.T with trans_a=1 reads h in place, with no Fortran-order copy
-    resid = blas.zgemm(1.0, h.T, vecs, trans_a=1) - vecs * vals
+    resid = ham.apply(vecs) - vecs * vals
     worst = float(np.linalg.norm(resid, axis=0).max())
     scale = max(1.0, float(np.abs(vals).max()))
     if worst > RESIDUAL_TOL * scale:
@@ -442,8 +439,7 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
             hartree_on=hartree_on, n_states=n_states,
         )
         n_states = gamma.n_states
-        breakdown = free_energy(gamma, external, xc, smearing,
-                                hartree_on=hartree_on, rho=rho_out)
+        breakdown = free_energy(gamma, external, xc, smearing, hartree_on=hartree_on)
         delta = l2_norm(rho_out - rho_in)
         history.append(
             {
@@ -463,7 +459,7 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
         if precondition:
             iterate = _Iterate(gamma, mu, rho_in, xc, smearing, hartree_on)
             r, history[-1]["precond_products"] = dielectric_solve(
-                ResponseContext(iterate, scipy_blas=True), r
+                ResponseContext(iterate), r
             )
         rho_in = GridFunction(basis, mixer.step(rho_in.values, r, precondition))
     else:
@@ -502,8 +498,7 @@ def free_energy_gradient(gamma: DensityMatrix, external: ExternalPotential,
     rho = density(gamma)
     terms = assemble_effective(rho, external, xc, hartree_on=hartree_on)
     ham = Hamiltonian(gamma.basis, terms.v_eff)
-    # numpy's BLAS pool, as the response code after it: scipy's would spin there
-    grad = gamma.orbitals.conj().T @ ham.apply(gamma.orbitals)
+    grad = blas.zgemm(1.0, gamma.orbitals, ham.apply(gamma.orbitals), trans_a=2)
     f = np.clip(gamma.occupations, 1e-300, 1.0 - 1e-16)
     grad[np.diag_indices_from(grad)] += (np.log(f) - np.log1p(-f)) / smearing.beta
     return 0.5 * (grad + grad.conj().T)

@@ -88,7 +88,10 @@ def test_hamiltonian_dense_matches_apply():
     h = ham.dense()
     np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
     block = random_block(basis.size)
-    assert np.array_equal(ham.apply(block), h @ block)
+    product = ham.apply(block)
+    assert np.array_equal(product, scipy.linalg.blas.zgemm(1.0, h.T, block, trans_a=1))
+    expected = h @ block
+    assert np.linalg.norm(product - expected) <= 1e-14 * np.linalg.norm(expected)
     # diagonal carries the kinetic term plus the potential mean
     np.testing.assert_allclose(
         np.diag(h).real, 0.5 * basis.g_norm2 + v.values.mean(), atol=1e-12
@@ -293,11 +296,14 @@ def test_scf_free_energy_matches_recomputation(name):
 
 
 def test_run_scf_computes_one_density_per_iteration(monkeypatch):
+    # free_energy asks for density(gamma) again and reads the kept one:
+    # count the calls that compute
     calls = []
     compute = density_matrix.density
 
     def counted(gamma):
-        calls.append(gamma)
+        if gamma._density is None:
+            calls.append(gamma)
         return compute(gamma)
 
     monkeypatch.setattr(density_matrix, "density", counted)
@@ -338,7 +344,7 @@ def random_zero_mean(shape, seed):
 @pytest.mark.parametrize("name", ["si1d", "rhf1d"])
 def test_dielectric_solve_matches_the_dense_oracle(name):
     state = converged_state(name)
-    ctx = ResponseContext(state, scipy_blas=True)
+    ctx = ResponseContext(state)
     eps = dense_dielectric_matrix(ctx)
     assert eps.shape[0] <= 120
     r = random_zero_mean(state.basis.fft_shape, seed=70)
@@ -346,16 +352,28 @@ def test_dielectric_solve_matches_the_dense_oracle(name):
     exact = np.linalg.solve(eps, r.ravel())
     assert np.linalg.norm(drho.ravel() - exact) <= 1e-10 * np.linalg.norm(exact)
     assert 0 < products <= scf.PRECOND_RESTART
-    # both BLAS pools give the same response
-    x = random_zero_mean(state.basis.n_grid, seed=71)
-    on_numpy = ResponseContext(state).density_response(x)
-    assert np.allclose(ctx.density_response(x), on_numpy, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", ["si1d", "tiny3d"])
+def test_response_grid_products_match_numpy(name):
+    ctx = ResponseContext(converged_state(name))
+    grid = ctx.grid_orbitals
+    rng = np.random.default_rng(73)
+    psi = rng.standard_normal((ctx.n_states,) * 2)
+    psi += psi.T
+    expected = np.einsum("jx,jx->x", np.tensordot(psi, grid, axes=([0], [0])), grid)
+    rho = ctx.pair_density(psi)
+    assert np.linalg.norm(rho - expected) <= 1e-13 * np.linalg.norm(expected)
+    v = rng.standard_normal(grid.shape[1])
+    expected = ctx.weight * (grid @ (grid * v).T)
+    elements = ctx.matrix_elements(v)
+    assert np.linalg.norm(elements - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("name", ["si1d", "rhf1d"])
 def test_dielectric_solve_keeps_the_integral_zero(name):
     state = converged_state(name)
-    ctx = ResponseContext(state, scipy_blas=True)
+    ctx = ResponseContext(state)
     w = state.basis.quadrature_weight
     r = random_zero_mean(state.basis.fft_shape, seed=72)
     drho, _ = dielectric_solve(ctx, r)
@@ -385,7 +403,7 @@ def test_dielectric_solve_is_finite_where_every_f_prime_underflows(monkeypatch):
     rho_in, gamma, mu, rho_out = iterates[2]
     assert divided_difference_table(gamma.eigenvalues, mu, smearing).trace() == 0.0
     iterate = scf._Iterate(gamma, mu, rho_in, cfg.xc, smearing, cfg.hartree_on)
-    ctx = ResponseContext(iterate, scipy_blas=True)
+    ctx = ResponseContext(iterate)
     r = rho_out.values - rho_in.values
     drho, _ = dielectric_solve(ctx, r, rtol=1e-13)
     assert np.isfinite(drho).all()
@@ -438,7 +456,7 @@ def test_gmres_cycle_matches_scipy_without_the_closing_product(monkeypatch, name
 
 def test_gmres_cycle_on_a_zero_residual_makes_no_product():
     state = converged_state("si1d")
-    ctx = ResponseContext(state, scipy_blas=True)
+    ctx = ResponseContext(state)
 
     def refuse(x):
         raise AssertionError("product made for a zero residual")
@@ -467,7 +485,7 @@ def test_response_context_reads_the_samples_density_made(monkeypatch, name):
     # every transform of the package goes through these two names
     monkeypatch.setattr(cell, "fftn", counted(cell.fftn))
     monkeypatch.setattr(cell, "ifftn", counted(cell.ifftn))
-    ctx = ResponseContext(state, scipy_blas=True)
+    ctx = ResponseContext(state)
     assert transforms == []
     assert ctx.grid_orbitals is state.gamma.orbitals_on_grid()
     assert not ctx.grid_orbitals.flags.writeable
@@ -536,6 +554,36 @@ def test_free_energy_gradient_reuses_the_scf_density(monkeypatch, name):
     assert calls == []
     assert np.array_equal(grad, expected)
     assert density(gamma) is state.rho
+
+
+def test_every_product_with_h_goes_through_apply(monkeypatch):
+    # one product with H a call: the eigensolver's residual check and the
+    # gradient's matrix elements both take H times their orbitals by apply
+    state = converged_state("si1d")
+    ham = state_hamiltonian(state)
+    ham.dense()
+    applied, products = [], []
+    apply, zgemm = Hamiltonian.apply, scipy.linalg.blas.zgemm
+
+    def counted_apply(self, block):
+        applied.append(block.shape)
+        return apply(self, block)
+
+    def counted_zgemm(*args, **kwargs):
+        products.append(None)
+        return zgemm(*args, **kwargs)
+
+    monkeypatch.setattr(Hamiltonian, "apply", counted_apply)
+    monkeypatch.setattr(scf.blas, "zgemm", counted_zgemm)
+    m = state.gamma.n_states
+    lowest_eigenpairs(ham, m)
+    assert applied == [(state.basis.size, m)]
+    assert len(products) == 1
+    free_energy_gradient(state.gamma, state.external, state.xc,
+                         state.smearing, hartree_on=state.hartree_on)
+    assert applied[1:] == [(state.basis.size, m)]
+    # the product with H and the matrix elements <phi_i| H phi_j>
+    assert len(products) == 3
 
 
 def test_lowest_eigenpairs_free_particle_exact():
