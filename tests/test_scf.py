@@ -561,7 +561,6 @@ def test_every_product_with_h_goes_through_apply(monkeypatch):
     # gradient's matrix elements both take H times their orbitals by apply
     state = converged_state("si1d")
     ham = state_hamiltonian(state)
-    ham.dense()
     applied, products = [], []
     apply, zgemm = Hamiltonian.apply, scipy.linalg.blas.zgemm
 
