@@ -103,13 +103,14 @@ def _cmd_scf(args, config) -> int:
         "n_states": state.gamma.n_states,
         "basis_exhausted": state.gamma.n_states == state.basis.size,
         "precond_products": sum(row["precond_products"] for row in state.history),
+        "eig_residual_max": max(row["eig_residual"] for row in state.history),
     }
     out = _out_dir(args, config)
     log_path = os.path.join(out, "scf_iterations.csv")
     with open(log_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "free_energy", "density_residual", "mu",
-                         "n_states", "precond_products"])
+                         "n_states", "precond_products", "eigensolver", "eig_residual"])
         for row in state.history:
             writer.writerow(
                 [
@@ -119,6 +120,8 @@ def _cmd_scf(args, config) -> int:
                     f"{row['mu']:.17g}",
                     row["n_states"],
                     row["precond_products"],
+                    row["eigensolver"],
+                    f"{row['eig_residual']:.17g}",
                 ]
             )
     chk_path = os.path.join(out, "checkpoint.json")

@@ -11,9 +11,11 @@ npw and the number of stacked orbitals.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import scipy.linalg
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 
 from .cell import GridFunction, PlaneWaveBasis
 from .potentials import ExternalPotential, XcFunctional, assemble_effective
@@ -164,6 +166,13 @@ def embed_dm(gamma: DensityMatrix, target: PlaneWaveBasis) -> DensityMatrix:
     )
 
 
+@lru_cache(maxsize=None)
+def _geqrf_lwork(rows: int, cols: int) -> int:
+    """zgeqrf's workspace for a (rows, cols) matrix, from its own query."""
+    work = lapack.zgeqrf(np.zeros((rows, cols), dtype=complex), lwork=-1)[2]
+    return int(work[0].real)
+
+
 def _difference_core(a_orbitals, a_occupations, b_orbitals, b_occupations):
     """Small Hermitian core of A - B = Phi diag(f_a, -f_b) Phi*, Phi = [a b].
 
@@ -173,12 +182,16 @@ def _difference_core(a_orbitals, a_occupations, b_orbitals, b_occupations):
     npw) the core is A - B itself, the same size as R D R* but without the
     QR.
     """
-    stacked = np.concatenate([a_orbitals, b_orbitals], axis=1)
+    # Fortran order, so that LAPACK factors it in place
+    stacked = np.concatenate([a_orbitals.T, b_orbitals.T]).T
     d = np.concatenate([a_occupations, -b_occupations])
-    if stacked.shape[1] >= stacked.shape[0]:
+    npw, n = stacked.shape
+    if n >= npw:
         return blas.zgemm(1.0, stacked * d, stacked, trans_b=2)
-    # scipy pads a tall R with zero rows; keep the ma + mb others
-    r = scipy.linalg.qr(stacked, mode="r")[0][: stacked.shape[1]]
+    # the R of scipy.linalg.qr(stacked, mode="r") without its zero rows:
+    # the same call, with the workspace of the same query
+    qr = lapack.zgeqrf(stacked, lwork=_geqrf_lwork(npw, n), overwrite_a=1)[0]
+    r = np.triu(qr[:n])
     # (r * d) @ r.conj().T
     return blas.zgemm(1.0, r.conj().T, (r * d).T, trans_a=1).T
 

@@ -36,7 +36,7 @@ dielectric preconditioner inverts (ResponseContext.density_response).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import blas
@@ -221,14 +221,24 @@ class ResponseContext:
         self.dd_table = divided_difference_table(
             self.eigenvalues, self.mu, self.smearing
         )
-        self.g_diag = fermi_dirac_dmu(
-            self.eigenvalues, self.mu, self.smearing, convention=g_sign
-        )
         self._fxc = self.xc.d2(state.rho.values).reshape(-1)
-        self.s = np.sqrt(np.abs(self.dd_table[_sym_index(self.n_states)]))
         self.applications = 0
         self._trace_row = None
         self._rho_d = None
+
+    # made on first use: an SCF iterate's context reads neither
+
+    @cached_property
+    def g_diag(self) -> np.ndarray:
+        """g_mu(lambda_i), the occupations' response to mu (``g_sign``)."""
+        return fermi_dirac_dmu(
+            self.eigenvalues, self.mu, self.smearing, convention=self.g_sign
+        )
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """S = sqrt|D| on the real symmetric coordinates."""
+        return np.sqrt(np.abs(self.dd_table[_sym_index(self.n_states)]))
 
     # -- kernel pieces ---------------------------------------------------
 

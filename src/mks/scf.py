@@ -29,11 +29,11 @@ from its first step does not converge there within 200 iterations.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import blas
+from scipy.linalg import LinAlgError, blas, lapack
 # lobpcg is not called here: bound only so that perfbench/tracing.py can wrap it
 from scipy.sparse.linalg import lobpcg  # noqa: F401
 
@@ -65,6 +65,12 @@ __all__ = [
 # the complex H, its real form and the int32 difference table take
 # 28 npw^2 bytes, about 470 MB at this size
 DENSE_MAX_PLANE_WAVES = 4096
+# lowest_eigenpairs asks LAPACK for the whole spectrum (dsyevd) up to this
+# many plane waves and for the wanted pairs only (dsyevr) above it.  On
+# 2 vCPU dsyevd is the faster up to about 45 rows for 10 wanted pairs and
+# up to about 150 for 27; every 1d basis the sweeps solve (at most 29)
+# lies far below, scf3d's 251 above
+FULL_SPECTRUM_MAX = 100
 OCC_TAIL = 1e-12
 STATE_BUFFER = 8
 RESIDUAL_TOL = 1e-8
@@ -98,6 +104,8 @@ class Hamiltonian:
         self.basis = basis
         self.v_values = v_local.values
         self._dense = None
+        # (LAPACK driver, worst residual norm) of the last lowest_eigenpairs
+        self.last_solve = None
 
     def apply(self, block: np.ndarray) -> np.ndarray:
         """H times a (size, k) block of coefficient vectors.  dense().T with
@@ -165,23 +173,69 @@ def _from_real_form(x: np.ndarray) -> np.ndarray:
     return vecs
 
 
+@lru_cache(maxsize=None)
+def _workspace(driver: str, n: int):
+    """(lwork, liwork) from LAPACK's workspace query of dsyevd or dsyevr on
+    an n x n matrix with eigenvectors, as scipy's eigh takes them."""
+    if driver == "evd":
+        work, iwork, info = lapack.dsyevd_lwork(n, compute_v=1, lower=1)
+    else:
+        work, iwork, info = lapack.dsyevr_lwork(n, lower=1)
+    if info != 0:
+        raise LinAlgError(f"workspace query of dsy{driver} failed (info {info})")
+    return int(work), int(iwork)
+
+
+def _symmetric_eigh(hr: np.ndarray, m: int):
+    """Lowest m eigenpairs of the real symmetric hr, and the driver taken.
+
+    Up to FULL_SPECTRUM_MAX rows dsyevd takes the whole spectrum and the
+    first m pairs are kept; above it dsyevr takes only those m.  Each is
+    called as scipy's eigh calls it (lower triangle, the queried
+    workspace), so the pairs are bitwise those of eigh(driver="evd") and
+    of eigh(subset_by_index=[0, m - 1]).  hr is exactly symmetric, so its
+    transpose is the same matrix in Fortran order: LAPACK overwrites it
+    in place, with no copy.
+    """
+    n = hr.shape[0]
+    driver = "evd" if n <= FULL_SPECTRUM_MAX else "evr"
+    lwork, liwork = _workspace(driver, n)
+    if driver == "evd":
+        vals, x, info = lapack.dsyevd(hr.T, compute_v=1, lower=1, lwork=lwork,
+                                      liwork=liwork, overwrite_a=1)
+    else:
+        vals, x, _, _, info = lapack.dsyevr(hr.T, compute_v=1, range="I", lower=1,
+                                            il=1, iu=m, lwork=lwork, liwork=liwork,
+                                            overwrite_a=1)
+    if info != 0:
+        raise LinAlgError(f"eigenvalue algorithm did not converge (dsy{driver} info {info})")
+    return vals[:m], x[:, :m], driver
+
+
 def lowest_eigenpairs(ham: Hamiltonian, m: int):
     """Lowest m eigenpairs of H, ascending, with residuals below RESIDUAL_TOL.
 
-    LAPACK's real symmetric eigh (only the m wanted pairs) on H in the
-    cos/sin basis, each real eigenvector signed so that its largest-magnitude
+    LAPACK's real symmetric solver (``_symmetric_eigh``) on H in the cos/sin
+    basis, each real eigenvector signed so that its largest-magnitude
     entry is positive, then mapped back to plane waves: every orbital has
     c(-G) = conj c(G), so it is a real function.  The residual is taken with
     the complex dense(), so it also checks the real form and the map back.
+    A non-finite H raises EigensolverError before LAPACK sees it.  The
+    LAPACK driver ("evd" or "evr") and the worst residual norm are kept in
+    ``ham.last_solve``.
     """
     basis = ham.basis
     if not 0 < m <= basis.size:
         raise ValueError(f"need 1 <= m <= {basis.size}, got {m}")
-    vals, x = scipy.linalg.eigh(_real_form(ham.dense()), subset_by_index=[0, m - 1])
+    hr = _real_form(ham.dense())
+    if not np.isfinite(hr).all():
+        raise EigensolverError("Hamiltonian has non-finite entries")
+    vals, x, driver = _symmetric_eigh(hr, m)
     x *= np.sign(x[np.argmax(np.abs(x), axis=0), np.arange(m)])
     vecs = _from_real_form(x)
     resid = ham.apply(vecs) - vecs * vals
     worst = float(np.linalg.norm(resid, axis=0).max())
+    ham.last_solve = (driver, worst)
     scale = max(1.0, float(np.abs(vals).max()))
     if worst > RESIDUAL_TOL * scale:
         raise EigensolverError(f"eigensolver residual {worst:.3e} above tolerance")
@@ -190,12 +244,15 @@ def lowest_eigenpairs(ham: Hamiltonian, m: int):
 
 def fixed_point_map(rho_in: GridFunction, external: ExternalPotential,
                     xc: XcFunctional, smearing: Smearing, n_electrons: float,
-                    hartree_on=True, n_states: int | None = None):
+                    hartree_on=True, n_states: int | None = None,
+                    info: dict | None = None):
     """One application of the Kohn-Sham map rho -> rho(f_mu(H(rho))).
 
     The number of computed eigenpairs grows until the occupation of the
     highest computed state falls below 1e-12 (or the basis is exhausted,
     in which case nothing is discarded).  Returns (gamma, mu, rho_out).
+    A dict ``info`` receives the LAPACK ``driver`` and the worst
+    ``residual`` of the last eigensolve.
     """
     basis = rho_in.basis
     if n_electrons >= basis.size:
@@ -226,6 +283,8 @@ def fixed_point_map(rho_in: GridFunction, external: ExternalPotential,
         vals, vecs = vals[:keep], vecs[:, :keep]
         mu = solve_mu(vals, n_electrons, smearing)
         occ = fermi_dirac(vals, mu, smearing)
+    if info is not None:
+        info["driver"], info["residual"] = ham.last_solve
     gamma = DensityMatrix(basis, vecs, occ, eigenvalues=vals)
     return gamma, mu, density(gamma)
 
@@ -260,11 +319,11 @@ class _AndersonMixer:
         h = len(self.inputs)
         if h == 1:
             return rho_in + alpha * r
-        dr = np.stack([self.residuals[j + 1] - self.residuals[j] for j in range(h - 1)])
-        dx = np.stack([self.inputs[j + 1] - self.inputs[j] for j in range(h - 1)])
-        coef, *_ = np.linalg.lstsq(dr.reshape(h - 1, -1).T, r.ravel(), rcond=None)
-        x_bar = rho_in - np.tensordot(coef, dx, axes=1)
-        r_bar = r - np.tensordot(coef, dr, axes=1)
+        history = np.stack(self.inputs + self.residuals).reshape(2, h, -1)
+        dx, dr = history[:, 1:] - history[:, :-1]
+        coef, *_ = np.linalg.lstsq(dr.T, r.ravel(), rcond=None)
+        x_bar = rho_in - (coef @ dx).reshape(r.shape)
+        r_bar = r - (coef @ dr).reshape(r.shape)
         return x_bar + alpha * r_bar
 
 
@@ -295,7 +354,7 @@ def dielectric_solve(ctx: ResponseContext, r: np.ndarray, rtol=PRECOND_RTOL):
     r, so int delta rho = int r to roundoff.
     """
     b = r.ravel()
-    norm_b = float(np.linalg.norm(b))
+    norm_b = math.sqrt(b @ b)
     if norm_b == 0.0:
         return np.zeros_like(r), 0
     steps = min(PRECOND_RESTART, b.size)
@@ -306,14 +365,14 @@ def dielectric_solve(ctx: ResponseContext, r: np.ndarray, rtol=PRECOND_RTOL):
     g = [norm_b]      # rotated right-hand side of the least-squares problem
     for k in range(steps):
         w = krylov[k] - ctx.density_response(krylov[k])
-        before = float(np.linalg.norm(w))
+        before = math.sqrt(w @ w)
         done = krylov[: k + 1]
         h = np.zeros(k + 1)
         for _ in range(2):
             coef = done @ w
             w -= coef @ done
             h += coef
-        norm = float(np.linalg.norm(w))
+        norm = math.sqrt(w @ w)
         breakdown = norm <= _EPS * before
         col = h.tolist() + [0.0 if breakdown else norm]
         for i, (c, s) in enumerate(rotations):
@@ -413,8 +472,10 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
     map's output state with the kernel at rho_in, and the step mixes with
     alpha 1.  The Anderson history restarts whenever the step changes kind.
     Each history record holds the iteration, free energy, density residual,
-    mu, the number of states kept and ``precond_products``, the products
-    with I - J its step took (0 on a plain step).
+    mu, the number of states kept, ``precond_products``, the products
+    with I - J its step took (0 on a plain step), and of the map's last
+    eigensolve the LAPACK driver, ``eigensolver`` ("evd" or "evr"), and
+    ``eig_residual``, its worst residual norm.
     """
     if n_electrons <= 0:
         raise ValueError("n_electrons must be positive")
@@ -434,9 +495,10 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
     f_prev = None
     n_states = None
     for it in range(1, max_iter + 1):
+        solve = {}
         gamma, mu, rho_out = fixed_point_map(
             rho_in, external, xc, smearing, n_electrons,
-            hartree_on=hartree_on, n_states=n_states,
+            hartree_on=hartree_on, n_states=n_states, info=solve,
         )
         n_states = gamma.n_states
         breakdown = free_energy(gamma, external, xc, smearing, hartree_on=hartree_on)
@@ -449,6 +511,8 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
                 "mu": mu,
                 "n_states": n_states,
                 "precond_products": 0,
+                "eigensolver": solve["driver"],
+                "eig_residual": solve["residual"],
             }
         )
         if f_prev is not None and delta <= tol_rho and abs(breakdown.total - f_prev) <= tol_f:

@@ -14,6 +14,7 @@ __all__ = [
 ]
 
 MU_TOL_REL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 class Smearing:
@@ -85,7 +86,7 @@ def solve_mu(eigenvalues, n_electrons, smearing: Smearing) -> float:
     mu = best_mu = 0.5 * (lo + hi)
     best = np.inf
     for _ in range(200):
-        f = fermi_dirac(eigenvalues, mu, smearing)
+        f = expit(-(beta * (eigenvalues - mu)))   # fermi_dirac, inlined
         resid = float(f.sum()) - n_electrons
         if abs(resid) < abs(best):
             best_mu, best = mu, resid
@@ -95,7 +96,7 @@ def solve_mu(eigenvalues, n_electrons, smearing: Smearing) -> float:
             hi = mu
         slope = float(beta * (f * (1.0 - f)).sum())
         step = mu - resid / slope if slope > 0.0 else 0.5 * (lo + hi)
-        if step == mu or hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(mu)):
+        if step == mu or hi - lo <= 4.0 * _EPS * max(1.0, abs(mu)):
             break
         mu = step if lo < step < hi else 0.5 * (lo + hi)
     if abs(best) > MU_TOL_REL * n_electrons:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.fft import fftn, ifftn
 
 from conftest import converged_state
 from mks.cell import (
@@ -107,6 +108,38 @@ def test_real_to_grid_matches_the_complex_transform(lattice, cutoff, m):
     assert samples.flags.c_contiguous
     oracle = basis.to_grid(coeff).real.reshape(m, -1)
     assert np.abs(samples - oracle).max() <= 1e-15 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("cutoff", [5.0, 7.25, 12.75, 19.75, 28.5, 38.75])
+def test_1d_transforms_are_bitwise_fftn_and_ifftn(cutoff):
+    # a 1d basis binds scipy.fft's fft/ifft; the oracles are the n-d
+    # transforms on the one grid axis, grids of 21 to 60 points
+    basis = build_basis(Cell(10.0), cutoff)
+    n = basis.fft_shape[0]
+    assert 21 <= n <= 60
+    scale = basis.n_grid / np.sqrt(basis.cell.volume)
+    index = (Ellipsis,) + basis.grid_index(basis.g_int)
+    rng = np.random.default_rng(n)
+    for m in (1, 4, 7):
+        coeff = real_function_coefficients(basis, m, seed=m)
+        spec = np.zeros((m, n), dtype=complex)
+        spec[index] = coeff
+        want = ifftn(spec, axes=(-1,)) * scale
+        assert np.array_equal(basis.to_grid(coeff), want)
+        packed = coeff[0::2].copy()
+        packed[: m // 2] += 1j * coeff[1::2]
+        spec = np.zeros(((m + 1) // 2, n), dtype=complex)
+        spec[index] = packed
+        pairs = ifftn(spec, axes=(-1,))
+        want = np.empty((2 * len(pairs), n))
+        want[0::2], want[1::2] = pairs.real * scale, pairs.imag * scale
+        assert np.array_equal(basis.real_to_grid(coeff), want[:m])
+    for shape in ((n,), (3, n)):
+        values = rng.standard_normal(shape)
+        vhat = fftn(values, axes=(-1,)) / n
+        assert np.array_equal(basis.fourier_coefficients(values), vhat)
+        assert np.array_equal(basis.fourier_values(vhat),
+                              ifftn(vhat, axes=(-1,)).real * n)
 
 
 def test_real_to_grid_validates_shape():

@@ -49,7 +49,8 @@ def test_scf_json_mode(tmp_path, capsys):
 
     lines = (out / "scf_iterations.csv").read_text().strip().split("\n")
     assert lines[0] == (
-        "iteration,free_energy,density_residual,mu,n_states,precond_products"
+        "iteration,free_energy,density_residual,mu,n_states,precond_products,"
+        "eigensolver,eig_residual"
     )
     assert len(lines) == 1 + summary["iterations"]
     last = lines[-1].split(",")
@@ -58,6 +59,9 @@ def test_scf_json_mode(tmp_path, capsys):
     # the converged iteration takes no step, so it makes no product
     assert int(last[5]) == 0
     assert sum(int(line.split(",")[5]) for line in lines[1:]) == summary["precond_products"]
+    # nine plane waves: every eigensolve takes the full spectrum
+    assert {line.split(",")[6] for line in lines[1:]} == {"evd"}
+    assert max(float(line.split(",")[7]) for line in lines[1:]) == summary["eig_residual_max"]
 
     gamma, meta = load_density_matrix(out / "checkpoint.json")
     assert gamma.trace() == pytest.approx(2.0, abs=1e-12)
@@ -423,14 +427,25 @@ def test_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
 
 
 def test_linalg_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
-    def broken(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("eigenvalue algorithm did not converge")
+    # free1d's 9 plane waves take the full spectrum (dsyevd); tiny3d at
+    # ec 8, 251 plane waves, takes the wanted pairs only (dsyevr)
+    tiny3d_ec8 = tmp_path / "tiny3d_ec8.cfg"
+    text = bundled_config_path("tiny3d").read_text()
+    tiny3d_ec8.write_text(text.replace("cutoff = 4.0", "cutoff = 8.0"))
+    for routine, config in (("dsyevd", "free1d"), ("dsyevr", str(tiny3d_ec8))):
+        called = []
 
-    monkeypatch.setattr(scipy.linalg, "eigh", broken)
-    code = main(["scf", "--config", "free1d", "--out", str(tmp_path / "e")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err == "error: eigenvalue algorithm did not converge\n"
+        def broken(*args, _routine=routine, **kwargs):
+            called.append(_routine)
+            raise scipy.linalg.LinAlgError("eigenvalue algorithm did not converge")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mks.scf.lapack, routine, broken)
+            code = main(["scf", "--config", config, "--out", str(tmp_path / routine)])
+        assert code == 1
+        assert called == [routine]
+        err = capsys.readouterr().err
+        assert err == "error: eigenvalue algorithm did not converge\n"
 
 
 def test_sweep_failure_keeps_later_betas(tmp_path, capsys, monkeypatch):

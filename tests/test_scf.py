@@ -193,21 +193,114 @@ def test_real_form_is_the_cos_sin_matrix_of_h():
     assert complex_cases == 5
 
 
-def test_dense_path_hands_lapack_a_real_matrix(monkeypatch):
+def lapack_spy(monkeypatch):
+    """Spy on the two LAPACK eigensolvers of the scf module: each call
+    appends (routine, dtype of the matrix handed over)."""
     seen = []
-    solve = scipy.linalg.eigh
+    for name in ("dsyevd", "dsyevr"):
+        def spy(a, *args, _name=name, _solve=getattr(scf.lapack, name), **kwargs):
+            seen.append((_name, np.asarray(a).dtype))
+            return _solve(a, *args, **kwargs)
 
-    def spy(a, *args, **kwargs):
-        seen.append(np.asarray(a).dtype)
-        return solve(a, *args, **kwargs)
+        monkeypatch.setattr(scf.lapack, name, spy)
+    return seen
 
-    monkeypatch.setattr(scf.scipy.linalg, "eigh", spy)
+
+def well_hamiltonian(lattice, cutoff):
+    """H of an off-centre Gaussian well, complex in the plane-wave basis."""
+    basis = build_basis(Cell(lattice), cutoff)
+    centre = [[1.3, 2.2, 0.7][:basis.cell.dimension]]
+    return Hamiltonian(basis, gaussian_wells(centre, [-2.0], [0.7]).evaluate(basis))
+
+
+def uniform_hamiltonian(name, cutoff):
+    """H of a bundled model at the uniform density, at any cutoff."""
+    cfg = RunConfig.from_file(name)
+    basis = cfg.build_basis(cutoff)
+    rho = GridFunction(basis, np.full(basis.fft_shape, cfg.n_electrons / basis.cell.volume))
+    terms = assemble_effective(rho, cfg.external, cfg.xc, hartree_on=cfg.hartree_on)
+    return Hamiltonian(basis, terms.v_eff)
+
+
+# one Hamiltonian on each side of scf.FULL_SPECTRUM_MAX: si1d's 21 plane
+# waves and an off-centre well in tiny3d's cell at ec 8, 251 plane waves
+CROSSOVER_SIDES = {
+    "dsyevd": lambda: state_hamiltonian(converged_state("si1d")),
+    "dsyevr": lambda: well_hamiltonian(6.0 * np.eye(3), 8.0),
+}
+
+
+def test_dense_path_hands_lapack_a_real_matrix(monkeypatch):
+    for routine, make in sorted(CROSSOVER_SIDES.items()):
+        ham = make()
+        assert (ham.basis.size <= scf.FULL_SPECTRUM_MAX) is (routine == "dsyevd")
+        with monkeypatch.context() as patch:
+            seen = lapack_spy(patch)
+            assert np.abs(ham.dense().imag).max() > 1e-3
+            vals, vecs = lowest_eigenpairs(ham, 5)
+        assert seen == [(routine, np.float64)]
+        assert ham.last_solve[0] == routine[-3:]
+        assert vecs.dtype == complex
+        assert np.abs(vecs.conj().T @ vecs - np.eye(5)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("routine", sorted(CROSSOVER_SIDES))
+def test_non_finite_potential_raises_before_lapack(monkeypatch, routine):
+    # scipy's eigh refused it through check_finite; without a check a NaN
+    # residual would compare False against RESIDUAL_TOL and pass
+    ham = CROSSOVER_SIDES[routine]()
+    values = ham.v_values.copy()
+    values.flat[3] = np.nan
+    poisoned = Hamiltonian(ham.basis, GridFunction(ham.basis, values))
+    seen = lapack_spy(monkeypatch)
+    with pytest.raises(EigensolverError, match="non-finite"):
+        lowest_eigenpairs(poisoned, 5)
+    assert seen == []
+
+
+@pytest.mark.parametrize("routine", ["dsyevd", "dsyevr"])
+def test_lapack_failure_raises_linalg_error(monkeypatch, routine):
+    ham = CROSSOVER_SIDES[routine]()
+    solve = getattr(scf.lapack, routine)
+
+    def failing(*args, **kwargs):
+        *out, _ = solve(*args, **kwargs)
+        return (*out, 3)
+
+    monkeypatch.setattr(scf.lapack, routine, failing)
+    with pytest.raises(scipy.linalg.LinAlgError, match=f"{routine} info 3"):
+        lowest_eigenpairs(ham, 5)
+
+
+def parent_eigenpairs(ham, m, **eigh_kwargs):
+    """lowest_eigenpairs as it was on scipy.linalg.eigh, with no residual
+    check: the real form's pairs, sign-fixed and mapped back."""
+    vals, x = scipy.linalg.eigh(scf._real_form(ham.dense()), **eigh_kwargs)
+    vals, x = vals[:m], x[:, :m]
+    x *= np.sign(x[np.argmax(np.abs(x), axis=0), np.arange(m)])
+    return vals, scf._from_real_form(x)
+
+
+@pytest.mark.parametrize("m", [1, 10, 27])
+def test_subset_path_is_bitwise_eigh_subset_by_index(m):
+    ham = uniform_hamiltonian("tiny3d", 8.0)
+    assert ham.basis.size == 251 > scf.FULL_SPECTRUM_MAX
+    vals, vecs = lowest_eigenpairs(ham, m)
+    assert ham.last_solve[0] == "evr"
+    oracle = parent_eigenpairs(ham, m, subset_by_index=[0, m - 1])
+    assert np.array_equal(vals, oracle[0])
+    assert np.array_equal(vecs, oracle[1])
+
+
+@pytest.mark.parametrize("m", [1, 12, 21])
+def test_full_spectrum_path_is_bitwise_eigh_evd(m):
     ham = state_hamiltonian(converged_state("si1d"))
-    assert np.abs(ham.dense().imag).max() > 1e-3
-    vals, vecs = lowest_eigenpairs(ham, 5)
-    assert seen == [np.float64]
-    assert vecs.dtype == complex
-    assert np.abs(vecs.conj().T @ vecs - np.eye(5)).max() <= 1e-12
+    assert ham.basis.size == 21 <= scf.FULL_SPECTRUM_MAX
+    vals, vecs = lowest_eigenpairs(ham, m)
+    assert ham.last_solve[0] == "evd"
+    oracle = parent_eigenpairs(ham, m, driver="evd")
+    assert np.array_equal(vals, oracle[0])
+    assert np.array_equal(vecs, oracle[1])
 
 
 def test_residual_check_catches_a_wrong_partner_map(monkeypatch):
@@ -898,13 +991,53 @@ def test_gamma_overlap_distance_matches_dense():
     assert gamma_overlap_distance(a, a) <= 1e-14
 
 
+def anderson_oracle(steps):
+    """The mixed densities of _AndersonMixer as first written: one list of
+    differences per step, stacked, and tensordot for the combinations."""
+    inputs, residuals, kind, out = [], [], False, []
+    for rho_in, r, preconditioned in steps:
+        if preconditioned != kind:
+            inputs, residuals, kind = [], [], preconditioned
+        alpha = 1.0 if preconditioned else scf.MIXING_ALPHA
+        inputs, residuals = inputs[-4:] + [rho_in], residuals[-4:] + [r]
+        h = len(inputs)
+        if h == 1:
+            out.append(rho_in + alpha * r)
+            continue
+        dr = np.stack([residuals[j + 1] - residuals[j] for j in range(h - 1)])
+        dx = np.stack([inputs[j + 1] - inputs[j] for j in range(h - 1)])
+        coef, *_ = np.linalg.lstsq(dr.reshape(h - 1, -1).T, r.ravel(), rcond=None)
+        x_bar = rho_in - np.tensordot(coef, dx, axes=1)
+        r_bar = r - np.tensordot(coef, dr, axes=1)
+        out.append(x_bar + alpha * r_bar)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(42,), (9, 9, 9)])
+def test_anderson_step_is_bitwise_the_oracle(shape):
+    assert scf.ANDERSON_WINDOW == 5
+    rng = np.random.default_rng(7)
+    # eight plain steps (the window fills and slides), then a restart into
+    # six preconditioned ones
+    steps = [(rng.standard_normal(shape), rng.standard_normal(shape), k >= 8)
+             for k in range(14)]
+    mixer = scf._AndersonMixer()
+    mixed = [mixer.step(rho_in, r, pre) for rho_in, r, pre in steps]
+    for got, want in zip(mixed, anderson_oracle(steps), strict=True):
+        assert np.array_equal(got, want)
+
+
 def test_per_iteration_history_is_complete():
     state = converged_state("rhf1d")
     assert len(state.history) == state.iterations
     for k, rec in enumerate(state.history, start=1):
         assert rec["iteration"] == k
         assert set(rec) == {"iteration", "free_energy", "density_residual", "mu",
-                            "n_states", "precond_products"}
+                            "n_states", "precond_products", "eigensolver",
+                            "eig_residual"}
+        # 21 plane waves: the whole spectrum, with residuals at roundoff
+        assert rec["eigensolver"] == "evd"
+        assert 0.0 < rec["eig_residual"] <= 1e-12
         # a step below the threshold makes at least one product, others none
         below = rec["density_residual"] < scf.PRECOND_THRESHOLD
         assert (rec["precond_products"] > 0) is (below and k < state.iterations)

@@ -160,6 +160,42 @@ def test_solve_mu_stress_grid_at_low_temperature():
                 or straddles_at_nearest_double(lam, n, mu, sm)), (sm.beta, lam.size, n)
 
 
+def newton_mu_oracle(eigenvalues, n_electrons, smearing):
+    """solve_mu's safeguarded Newton iteration as first written, through
+    fermi_dirac and np.finfo on every step (the stall check left out)."""
+    m = eigenvalues.size
+    beta = smearing.beta
+    lo = float(eigenvalues.min() - (np.log(m / n_electrons) + 1.0) / beta)
+    hi = float(eigenvalues.max()
+               + (abs(np.log(n_electrons / (m - n_electrons))) + 1.0) / beta)
+    mu = best_mu = 0.5 * (lo + hi)
+    best = np.inf
+    for _ in range(200):
+        f = fermi_dirac(eigenvalues, mu, smearing)
+        resid = float(f.sum()) - n_electrons
+        if abs(resid) < abs(best):
+            best_mu, best = mu, resid
+        if resid < 0.0:
+            lo = mu
+        else:
+            hi = mu
+        slope = float(beta * (f * (1.0 - f)).sum())
+        step = mu - resid / slope if slope > 0.0 else 0.5 * (lo + hi)
+        if step == mu or hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(mu)):
+            break
+        mu = step if lo < step < hi else 0.5 * (lo + hi)
+    return best_mu
+
+
+def test_solve_mu_is_bitwise_the_newton_oracle():
+    grids = (stress_grid(10.0 ** np.arange(-3, 4), seed=0),
+             stress_grid((1e4, 1e5, 1e6), seed=1))
+    for grid in grids:
+        for lam, n, sm in grid:
+            assert solve_mu(lam, n, sm) == newton_mu_oracle(lam, n, sm), (
+                sm.beta, lam.size, n)
+
+
 def test_solve_mu_input_validation():
     sm = Smearing(5.0)
     with pytest.raises(ValueError):
