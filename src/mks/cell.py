@@ -184,13 +184,6 @@ class PlaneWaveBasis:
         """Grid position of integer modes (..., d), wrapped onto the FFT grid."""
         return tuple(np.mod(modes[..., k], n) for k, n in enumerate(self.fft_shape))
 
-    def grid_points(self):
-        """Cartesian coordinates of the FFT grid, shape (*fft_shape, d)."""
-        fractions = [np.arange(n) / n for n in self.fft_shape]
-        mesh = np.meshgrid(*fractions, indexing="ij")
-        frac = np.stack(mesh, axis=-1)
-        return frac @ self.cell.lattice
-
     # -- transforms ------------------------------------------------------
 
     def to_grid(self, coefficients) -> np.ndarray:

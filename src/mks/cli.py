@@ -109,21 +109,10 @@ def _cmd_scf(args, config) -> int:
     log_path = os.path.join(out, "scf_iterations.csv")
     with open(log_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "free_energy", "density_residual", "mu",
-                         "n_states", "precond_products", "eigensolver", "eig_residual"])
+        writer.writerow(state.history[0].keys())
         for row in state.history:
-            writer.writerow(
-                [
-                    row["iteration"],
-                    f"{row['free_energy']:.17g}",
-                    f"{row['density_residual']:.17g}",
-                    f"{row['mu']:.17g}",
-                    row["n_states"],
-                    row["precond_products"],
-                    row["eigensolver"],
-                    f"{row['eig_residual']:.17g}",
-                ]
-            )
+            writer.writerow(f"{v:.17g}" if isinstance(v, float) else v
+                            for v in row.values())
     chk_path = os.path.join(out, "checkpoint.json")
     save_state(state, chk_path)
     _write_json(os.path.join(out, "scf_summary.json"), summary)

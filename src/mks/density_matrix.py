@@ -25,6 +25,7 @@ __all__ = [
     "DensityMatrix",
     "density",
     "s11_distance",
+    "gamma_overlap_distance",
     "project_dm",
     "FreeEnergyBreakdown",
     "free_energy",
@@ -216,6 +217,19 @@ def s11_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
     scale = np.sqrt(common.g_norm2)[:, None]
     return trace_abs(pa, pb) + trace_abs(scale * pa, scale * pb)
+
+
+def gamma_overlap_distance(a: DensityMatrix, b: DensityMatrix) -> float:
+    """Frobenius distance ||A - B||_F evaluated on the union orbital span.
+
+    The difference operator has its range inside span(a) + span(b); a QR
+    factorisation of the stacked orbitals reduces it to a small Hermitian
+    matrix whose entries subtract before any large traces accumulate, so
+    the value stays accurate down to machine precision even when a ~ b.
+    """
+    core = _difference_core(a.orbitals, a.occupations,
+                            b.orbitals, b.occupations)
+    return float(np.linalg.norm(core))
 
 
 def project_dm(gamma: DensityMatrix, target: PlaneWaveBasis) -> DensityMatrix:

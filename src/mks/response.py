@@ -161,13 +161,6 @@ def hermitian_to_coords(psi) -> np.ndarray:
     return np.concatenate([_sym_to_coords(psi.real), _sym_to_coords(psi.imag)[m:]])
 
 
-def coords_to_hermitian(x, m) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    sym = m * (m + 1) // 2
-    imag = _coords_to_sym(np.concatenate([np.zeros(m), x[sym:]]), m)
-    return _coords_to_sym(x[:sym], m) + 1j * (np.triu(imag) - np.tril(imag))
-
-
 class ResponseContext:
     """Frozen ingredients of the response operator at a converged state.
 

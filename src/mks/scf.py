@@ -29,7 +29,7 @@ from its first step does not converge there within 200 iterations.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -41,9 +41,9 @@ from .cell import GridFunction, PlaneWaveBasis, l2_norm
 from .density_matrix import (
     DensityMatrix,
     FreeEnergyBreakdown,
-    _difference_core,
     density,
     free_energy,
+    gamma_overlap_distance,
 )
 from .potentials import ExternalPotential, XcFunctional, assemble_effective
 from .response import ResponseContext
@@ -59,7 +59,6 @@ __all__ = [
     "ScfState",
     "free_energy_gradient",
     "fixed_point_residual",
-    "gamma_overlap_distance",
 ]
 
 # the complex H, its real form and the int32 difference table take
@@ -104,8 +103,6 @@ class Hamiltonian:
         self.basis = basis
         self.v_values = v_local.values
         self._dense = None
-        # (LAPACK driver, worst residual norm) of the last lowest_eigenpairs
-        self.last_solve = None
 
     def apply(self, block: np.ndarray) -> np.ndarray:
         """H times a (size, k) block of coefficient vectors.  dense().T with
@@ -212,7 +209,7 @@ def _symmetric_eigh(hr: np.ndarray, m: int):
     return vals[:m], x[:, :m], driver
 
 
-def lowest_eigenpairs(ham: Hamiltonian, m: int):
+def lowest_eigenpairs(ham: Hamiltonian, m: int, info: dict | None = None):
     """Lowest m eigenpairs of H, ascending, with residuals below RESIDUAL_TOL.
 
     LAPACK's real symmetric solver (``_symmetric_eigh``) on H in the cos/sin
@@ -220,9 +217,9 @@ def lowest_eigenpairs(ham: Hamiltonian, m: int):
     entry is positive, then mapped back to plane waves: every orbital has
     c(-G) = conj c(G), so it is a real function.  The residual is taken with
     the complex dense(), so it also checks the real form and the map back.
-    A non-finite H raises EigensolverError before LAPACK sees it.  The
-    LAPACK driver ("evd" or "evr") and the worst residual norm are kept in
-    ``ham.last_solve``.
+    A non-finite H raises EigensolverError before LAPACK sees it.  A dict
+    ``info`` receives the LAPACK ``driver`` ("evd" or "evr") and the worst
+    ``residual`` norm.
     """
     basis = ham.basis
     if not 0 < m <= basis.size:
@@ -235,7 +232,8 @@ def lowest_eigenpairs(ham: Hamiltonian, m: int):
     vecs = _from_real_form(x)
     resid = ham.apply(vecs) - vecs * vals
     worst = float(np.linalg.norm(resid, axis=0).max())
-    ham.last_solve = (driver, worst)
+    if info is not None:
+        info["driver"], info["residual"] = driver, worst
     scale = max(1.0, float(np.abs(vals).max()))
     if worst > RESIDUAL_TOL * scale:
         raise EigensolverError(f"eigensolver residual {worst:.3e} above tolerance")
@@ -266,7 +264,7 @@ def fixed_point_map(rho_in: GridFunction, external: ExternalPotential,
     m = max(m, int(np.floor(n_electrons)) + 1)
     m = min(m, basis.size)
     while True:
-        vals, vecs = lowest_eigenpairs(ham, m)
+        vals, vecs = lowest_eigenpairs(ham, m, info=info)
         mu = solve_mu(vals, n_electrons, smearing)
         tail = float(fermi_dirac(vals[-1], mu, smearing))
         if tail < OCC_TAIL or m == basis.size:
@@ -283,8 +281,6 @@ def fixed_point_map(rho_in: GridFunction, external: ExternalPotential,
         vals, vecs = vals[:keep], vecs[:, :keep]
         mu = solve_mu(vals, n_electrons, smearing)
         occ = fermi_dirac(vals, mu, smearing)
-    if info is not None:
-        info["driver"], info["residual"] = ham.last_solve
     gamma = DensityMatrix(basis, vecs, occ, eigenvalues=vals)
     return gamma, mu, density(gamma)
 
@@ -395,17 +391,20 @@ def dielectric_solve(ctx: ResponseContext, r: np.ndarray, rtol=PRECOND_RTOL):
 
 
 class ScfState:
-    """Converged (or last-iterate) self-consistent state plus its model."""
+    """Converged self-consistent state plus its model.
+
+    Its fixed-point residual is measured on first read: one more map,
+    which only a caller that reports it pays for.
+    """
 
     def __init__(self, gamma, mu, rho, breakdown, residual_density,
-                 residual_fixedpoint, iterations, converged, history,
+                 iterations, converged, history,
                  external, xc, smearing, n_electrons, hartree_on):
         self.gamma = gamma
         self.mu = mu
         self.rho = rho
         self.free_energy = breakdown
         self.residual_density = residual_density
-        self.residual_fixedpoint = residual_fixedpoint
         self.iterations = iterations
         self.converged = converged
         self.history = history
@@ -419,24 +418,15 @@ class ScfState:
     def basis(self):
         return self.gamma.basis
 
+    @cached_property
+    def residual_fixedpoint(self) -> float:
+        return fixed_point_residual(self)
+
     def __repr__(self):
         return (
             f"ScfState(F={self.free_energy.total:.10g}, mu={self.mu:.6g}, "
             f"iterations={self.iterations}, converged={self.converged})"
         )
-
-
-def gamma_overlap_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Frobenius distance ||A - B||_F evaluated on the union orbital span.
-
-    The difference operator has its range inside span(a) + span(b); a QR
-    factorisation of the stacked orbitals reduces it to a small Hermitian
-    matrix whose entries subtract before any large traces accumulate, so
-    the value stays accurate down to machine precision even when a ~ b.
-    """
-    core = _difference_core(a.orbitals, a.occupations,
-                            b.orbitals, b.occupations)
-    return float(np.linalg.norm(core))
 
 
 def fixed_point_residual(state: ScfState) -> float:
@@ -531,10 +521,9 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
             f"no convergence in {max_iter} iterations "
             f"(density residual {delta:.3e}, F {breakdown.total:.12g})"
         )
-    state = ScfState(
+    return ScfState(
         gamma, mu, rho_out, breakdown,
         residual_density=delta,
-        residual_fixedpoint=np.nan,
         iterations=len(history),
         converged=True,
         history=history,
@@ -544,8 +533,6 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
         n_electrons=n_electrons,
         hartree_on=hartree_on,
     )
-    state.residual_fixedpoint = fixed_point_residual(state)
-    return state
 
 
 def free_energy_gradient(gamma: DensityMatrix, external: ExternalPotential,

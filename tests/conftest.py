@@ -12,7 +12,7 @@ import scipy.linalg
 from mks.config import RunConfig
 from mks.density_matrix import DensityMatrix
 from mks.harness import run_single
-from mks.response import coords_to_hermitian, hermitian_to_coords
+from mks.response import hermitian_to_coords
 
 _STATES = {}
 _DENSE_BARE = weakref.WeakKeyDictionary()
@@ -46,6 +46,27 @@ def rhf1d_state():
 @pytest.fixture(scope="session")
 def tiny3d_state():
     return converged_state("tiny3d")
+
+
+def grid_points(basis):
+    """Cartesian coordinates of the basis' FFT grid, shape (*fft_shape, d)."""
+    fractions = [np.arange(n) / n for n in basis.fft_shape]
+    frac = np.stack(np.meshgrid(*fractions, indexing="ij"), axis=-1)
+    return frac @ basis.cell.lattice
+
+
+def coords_to_hermitian(x, m):
+    """The m x m Hermitian matrix of real coordinates x, the inverse of
+    response.hermitian_to_coords: the diagonal, then sqrt(2) times the real
+    and then the imaginary part of the strict upper triangle, row by row."""
+    x = np.asarray(x, dtype=float)
+    sym = m * (m + 1) // 2
+    rows, cols = np.triu_indices(m, 1)
+    upper = x[m:sym] / np.sqrt(2.0) + 1j * (x[sym:] / np.sqrt(2.0))
+    psi = np.diag(x[:m]).astype(complex)
+    psi[rows, cols] = upper
+    psi[cols, rows] = upper.conj()
+    return psi
 
 
 def random_density_matrix(basis, m, seed, occupations=None):

@@ -14,7 +14,9 @@ import pytest
 
 from conftest import (
     converged_state,
+    coords_to_hermitian,
     dense_chi_matrix,
+    grid_points,
     perturb,
     rhf_quadratic_form,
     s11_norm,
@@ -39,7 +41,6 @@ from mks.response import (
     apply_chi,
     apply_jacobian,
     audit_a4,
-    coords_to_hermitian,
     hermitian_to_coords,
     solve_jacobian,
 )
@@ -228,7 +229,7 @@ def test_criterion_09_small_case_oracle_equivalence():
                                    hartree_on=state.hartree_on)
         ham = Hamiltonian(basis, terms.v_eff)
         dense = ham.dense()
-        pts = basis.grid_points().reshape(-1, 1)
+        pts = grid_points(basis).reshape(-1, 1)
         v = terms.v_eff.values.reshape(-1)
         explicit = np.empty_like(dense)
         for a in range(basis.size):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.fft import fftn, ifftn
 
-from conftest import converged_state
+from conftest import converged_state, grid_points
 from mks.cell import (
     Cell,
     GridFunction,
@@ -204,7 +204,7 @@ def test_grid_mode_bookkeeping_consistent():
     np.testing.assert_allclose(
         basis.grid_g2, np.einsum("...i,...i->...", cart, cart), atol=1e-12
     )
-    pts = basis.grid_points()
+    pts = grid_points(basis)
     assert pts.shape == basis.fft_shape + (2,)
     # grid points start at the origin corner
     np.testing.assert_allclose(pts[0, 0], 0.0)

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import converged_state
+
 import mks
 from mks.cli import main
 from mks.config import ConfigError, RunConfig, bundled_config_path
@@ -52,6 +54,8 @@ def test_scf_json_mode(tmp_path, capsys):
         "iteration,free_energy,density_residual,mu,n_states,precond_products,"
         "eigensolver,eig_residual"
     )
+    # the columns are the history record's keys
+    assert lines[0].split(",") == list(converged_state("free1d").history[0])
     assert len(lines) == 1 + summary["iterations"]
     last = lines[-1].split(",")
     assert float(last[1]) == summary["free_energy"]["total"]
@@ -99,6 +103,18 @@ def test_scf_is_deterministic(tmp_path):
         paths.append(out)
     for name in ("scf_summary.json", "scf_iterations.csv", "checkpoint.json"):
         assert (paths[0] / name).read_bytes() == (paths[1] / name).read_bytes()
+
+
+def test_failing_fixed_point_residual_exits_1_without_output(tmp_path, capsys,
+                                                              monkeypatch):
+    def failing(state):
+        raise mks.scf.ScfError("residual map failed")
+
+    monkeypatch.setattr(mks.scf, "fixed_point_residual", failing)
+    code = main(["scf", "--config", "free1d", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: residual map failed\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_response_audit_json(tmp_path, capsys):

@@ -18,6 +18,7 @@ from mks.density_matrix import (
     density,
     embed_dm,
     free_energy,
+    gamma_overlap_distance,
     mode_positions,
     project_dm,
     s11_distance,
@@ -356,12 +357,11 @@ def test_basis_filling_core_matches_qr_core(monkeypatch):
     def distances():
         return [s11_distance(swept, ref),
                 s11_distance(project_dm(ref, swept.basis), ref),
-                scf.gamma_overlap_distance(lifted, ref)]
+                gamma_overlap_distance(lifted, ref)]
 
     direct = distances()
     monkeypatch.setattr(density_matrix, "_difference_core",
                         difference_core_numpy)
-    monkeypatch.setattr(scf, "_difference_core", difference_core_numpy)
     np.testing.assert_allclose(direct, distances(), rtol=1e-12, atol=0)
 
 

@@ -8,6 +8,7 @@ plain Fourier coefficients obtained by direct quadrature sums.
 import numpy as np
 import pytest
 
+from conftest import grid_points
 from mks.cell import Cell, GridFunction, build_basis
 from mks.potentials import (
     DIRAC_COEFF,
@@ -38,7 +39,7 @@ def gaussian_image_sum(points, centers, depths, widths, length, reps=4):
 
 def direct_plain_coefficients(values, basis):
     """Plain Fourier coefficients by explicit quadrature sums, no FFT."""
-    pts = basis.grid_points().reshape(-1, basis.cell.dimension)
+    pts = grid_points(basis).reshape(-1, basis.cell.dimension)
     modes = basis.grid_modes.reshape(-1, basis.cell.dimension)
     cart = modes @ basis.cell.reciprocal
     flat = np.asarray(values).reshape(-1)
@@ -53,7 +54,7 @@ def test_gaussian_wells_match_image_sum():
     basis = build_basis(Cell(length), 12.0)
     pot = gaussian_wells([[1.7], [4.9]], [-2.4, -1.1], [1.0, 0.9])
     values = pot.evaluate(basis).values
-    x = basis.grid_points()[..., 0]
+    x = grid_points(basis)[..., 0]
     oracle = gaussian_image_sum(x, [1.7, 4.9], [-2.4, -1.1], [1.0, 0.9], length)
     np.testing.assert_allclose(values, oracle, atol=1e-10)
 
@@ -62,7 +63,7 @@ def test_gaussian_fourier_coefficients_against_quadrature():
     length = 10.0
     basis = build_basis(Cell(length), 12.0)
     pot = gaussian_wells([[3.3]], [-2.0], [1.0])
-    x = basis.grid_points()[..., 0]
+    x = grid_points(basis)[..., 0]
     oracle_values = gaussian_image_sum(x, [3.3], [-2.0], [1.0], length)
     _, coeffs = direct_plain_coefficients(oracle_values, basis)
     analytic = pot.spectrum(basis).reshape(-1)
@@ -72,7 +73,7 @@ def test_gaussian_fourier_coefficients_against_quadrature():
 def test_cosine_series_evaluates_pointwise():
     basis = build_basis(Cell([7.0, 9.0]), 6.0)
     pot = cosine_series([[1, 0], [2, 1]], [0.4, -0.15])
-    pts = basis.grid_points()
+    pts = grid_points(basis)
     b = basis.cell.reciprocal
     oracle = 0.4 * np.cos(pts @ (np.array([1, 0]) @ b)) - 0.15 * np.cos(
         pts @ (np.array([2, 1]) @ b)
@@ -110,7 +111,7 @@ def test_external_potential_validation():
 
 def test_hartree_matches_direct_summation():
     basis = build_basis(Cell(10.0), 6.0)
-    x = basis.grid_points()[..., 0]
+    x = grid_points(basis)[..., 0]
     b1 = 2.0 * np.pi / 10.0
     rho = GridFunction(basis, 0.4 + 0.25 * np.cos(b1 * x) + 0.1 * np.sin(2 * b1 * x))
     v_h, e_h = hartree(rho)
@@ -118,7 +119,7 @@ def test_hartree_matches_direct_summation():
     cart, coeffs = direct_plain_coefficients(rho.values, basis)
     g2 = np.einsum("ij,ij->i", cart, cart)
     mult = np.where(g2 > 1e-14, 4.0 * np.pi / np.maximum(g2, 1e-14), 0.0)
-    pts = basis.grid_points().reshape(-1, 1)
+    pts = grid_points(basis).reshape(-1, 1)
     v_oracle = np.zeros(len(pts), dtype=complex)
     for g, c, m in zip(cart, coeffs, mult):
         v_oracle += m * c * np.exp(1j * (pts @ g))
@@ -133,7 +134,7 @@ def test_hartree_cosine_closed_form():
     # rho = A cos(Gx): E_H = pi V A^2 / G^2 and v_H = (4 pi A / G^2) cos(Gx)
     length = 10.0
     basis = build_basis(Cell(length), 6.0)
-    x = basis.grid_points()[..., 0]
+    x = grid_points(basis)[..., 0]
     g1 = 2.0 * np.pi / length
     amp = 0.3
     rho = GridFunction(basis, amp * np.cos(g1 * x))
@@ -164,7 +165,7 @@ def test_dirac_coefficient_value():
 @pytest.mark.parametrize("make_xc", [dirac_exchange, dirac_corr])
 def test_xc_energy_directional_derivative(make_xc):
     basis = build_basis(Cell(10.0), 6.0)
-    x = basis.grid_points()[..., 0]
+    x = grid_points(basis)[..., 0]
     b1 = 2.0 * np.pi / 10.0
     rho = GridFunction(basis, 0.8 + 0.3 * np.cos(b1 * x))
     eta = GridFunction(basis, np.sin(2 * b1 * x) + 0.2)
@@ -247,7 +248,7 @@ def test_power_law_xc_validation():
 
 def test_assemble_effective_sums_terms():
     basis = build_basis(Cell(10.0), 6.0)
-    x = basis.grid_points()[..., 0]
+    x = grid_points(basis)[..., 0]
     rho = GridFunction(basis, 0.5 + 0.2 * np.cos(2.0 * np.pi * x / 10.0))
     external = gaussian_wells([[5.0]], [-1.5], [0.9])
     terms = assemble_effective(rho, external, dirac_exchange(), hartree_on=True)

@@ -16,8 +16,10 @@ import scipy.sparse.linalg
 from conftest import (
     converged_state,
     coordinate_weights,
+    coords_to_hermitian,
     dense_bare_matrix,
     dense_chi_matrix,
+    grid_points,
     rhf_quadratic_form,
 )
 from mks.cell import GridFunction
@@ -34,7 +36,6 @@ from mks.response import (
     apply_chi,
     apply_jacobian,
     audit_a4,
-    coords_to_hermitian,
     divided_difference_table,
     hermitian_to_coords,
     solve_jacobian,
@@ -170,7 +171,7 @@ def test_divided_difference_strictly_negative_on_benchmarks(name):
 def direct_kernel_potential(ctx, rho_flat):
     """Hartree + local xc kernel by explicit coefficient sums, no FFT."""
     basis = ctx.basis
-    pts = basis.grid_points().reshape(-1, basis.cell.dimension)
+    pts = grid_points(basis).reshape(-1, basis.cell.dimension)
     modes = basis.grid_modes.reshape(-1, basis.cell.dimension)
     cart = modes @ basis.cell.reciprocal
     g2 = np.einsum("ij,ij->i", cart, cart)
@@ -202,7 +203,7 @@ def chi_finite_difference(state, psi, eps=1e-5):
 
     # dense matrix of the perturbation by direct quadrature per mode pair
     n = basis.size
-    pts = basis.grid_points().reshape(-1, basis.cell.dimension)
+    pts = grid_points(basis).reshape(-1, basis.cell.dimension)
     v_mat = np.empty((n, n), dtype=complex)
     for a in range(n):
         for b in range(n):

@@ -16,8 +16,13 @@ from test_density_matrix import dense_from_projectors
 from mks import cell, density_matrix, scf
 from mks.cell import Cell, GridFunction, PlaneWaveBasis, build_basis, l2_norm
 from mks.config import RunConfig
-from mks.density_matrix import DensityMatrix, density, free_energy
-from mks.harness import run_single
+from mks.density_matrix import (
+    DensityMatrix,
+    density,
+    free_energy,
+    gamma_overlap_distance,
+)
+from mks.harness import quasi_optimality, run_single, run_sweep
 from mks.potentials import (
     ExternalPotential,
     assemble_effective,
@@ -38,7 +43,6 @@ from mks.scf import (
     fixed_point_map,
     fixed_point_residual,
     free_energy_gradient,
-    gamma_overlap_distance,
     lowest_eigenpairs,
     run_scf,
 )
@@ -234,12 +238,13 @@ def test_dense_path_hands_lapack_a_real_matrix(monkeypatch):
     for routine, make in sorted(CROSSOVER_SIDES.items()):
         ham = make()
         assert (ham.basis.size <= scf.FULL_SPECTRUM_MAX) is (routine == "dsyevd")
+        info = {}
         with monkeypatch.context() as patch:
             seen = lapack_spy(patch)
             assert np.abs(ham.dense().imag).max() > 1e-3
-            vals, vecs = lowest_eigenpairs(ham, 5)
+            vals, vecs = lowest_eigenpairs(ham, 5, info=info)
         assert seen == [(routine, np.float64)]
-        assert ham.last_solve[0] == routine[-3:]
+        assert info["driver"] == routine[-3:]
         assert vecs.dtype == complex
         assert np.abs(vecs.conj().T @ vecs - np.eye(5)).max() <= 1e-12
 
@@ -285,8 +290,9 @@ def parent_eigenpairs(ham, m, **eigh_kwargs):
 def test_subset_path_is_bitwise_eigh_subset_by_index(m):
     ham = uniform_hamiltonian("tiny3d", 8.0)
     assert ham.basis.size == 251 > scf.FULL_SPECTRUM_MAX
-    vals, vecs = lowest_eigenpairs(ham, m)
-    assert ham.last_solve[0] == "evr"
+    info = {}
+    vals, vecs = lowest_eigenpairs(ham, m, info=info)
+    assert info["driver"] == "evr"
     oracle = parent_eigenpairs(ham, m, subset_by_index=[0, m - 1])
     assert np.array_equal(vals, oracle[0])
     assert np.array_equal(vecs, oracle[1])
@@ -296,8 +302,9 @@ def test_subset_path_is_bitwise_eigh_subset_by_index(m):
 def test_full_spectrum_path_is_bitwise_eigh_evd(m):
     ham = state_hamiltonian(converged_state("si1d"))
     assert ham.basis.size == 21 <= scf.FULL_SPECTRUM_MAX
-    vals, vecs = lowest_eigenpairs(ham, m)
-    assert ham.last_solve[0] == "evd"
+    info = {}
+    vals, vecs = lowest_eigenpairs(ham, m, info=info)
+    assert info["driver"] == "evd"
     oracle = parent_eigenpairs(ham, m, driver="evd")
     assert np.array_equal(vals, oracle[0])
     assert np.array_equal(vecs, oracle[1])
@@ -407,7 +414,9 @@ def test_run_scf_computes_one_density_per_iteration(monkeypatch):
         cfg.build_smearing(), cfg.n_electrons, hartree_on=cfg.hartree_on,
         tol_rho=cfg.tol_rho, tol_f=cfg.tol_f, max_iter=cfg.max_iter,
     )
-    # one per map, plus the output of the final residual check
+    # one per map; the fixed-point residual's map adds one on first read
+    assert len(calls) == state.iterations
+    state.residual_fixedpoint
     assert len(calls) == state.iterations + 1
 
 
@@ -719,9 +728,9 @@ def count_solves(monkeypatch):
     calls = []
     eig, mu = scf.lowest_eigenpairs, scf.solve_mu
 
-    def eig_spy(ham, m):
+    def eig_spy(ham, m, info=None):
         calls.append(m)
-        return eig(ham, m)
+        return eig(ham, m, info=info)
 
     def mu_spy(*args):
         calls.append("mu")
@@ -830,6 +839,32 @@ def test_fixed_point_residual_small(name):
     assert fixed_point_residual(state) == pytest.approx(
         state.residual_fixedpoint, abs=1e-14
     )
+
+
+def test_fixed_point_residual_is_measured_once_on_first_read(monkeypatch):
+    cfg = RunConfig.from_file("si1d")
+    state = run_single(cfg)
+    calls = []
+    measure = scf.fixed_point_residual
+
+    def spy(s):
+        calls.append(s)
+        return measure(s)
+
+    monkeypatch.setattr(scf, "fixed_point_residual", spy)
+    first, second = state.residual_fixedpoint, state.residual_fixedpoint
+    assert calls == [state]
+    monkeypatch.undo()
+    assert first == second == fixed_point_residual(state)
+
+
+def test_sweeps_make_no_fixed_point_residual(monkeypatch):
+    calls = []
+    monkeypatch.setattr(scf, "fixed_point_residual", calls.append)
+    cfg = RunConfig.from_file("si1d")
+    run_sweep(cfg)
+    quasi_optimality(cfg)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["si1d", "tiny3d"])
