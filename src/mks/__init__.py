@@ -32,10 +32,9 @@ from .potentials import (
     dirac_corr,
     dirac_exchange,
     gaussian_wells,
-    hartree,
+    interaction_energies,
     null_xc,
     power_law_xc,
-    xc_eval,
 )
 from .response import (
     ResponseContext,

@@ -101,8 +101,8 @@ class PlaneWaveBasis:
     """
 
     def __init__(self, cell: Cell, cutoff: float):
-        if cutoff <= 0:
-            raise ValueError(f"cutoff must be positive, got {cutoff}")
+        if not 0 < cutoff < np.inf:
+            raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
         self.cell = cell
         self.cutoff = float(cutoff)
         d = cell.dimension

@@ -108,7 +108,7 @@ def _cmd_scf(args, config) -> int:
     out = _out_dir(args, config)
     log_path = os.path.join(out, "scf_iterations.csv")
     with open(log_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(state.history[0].keys())
         for row in state.history:
             writer.writerow(f"{v:.17g}" if isinstance(v, float) else v

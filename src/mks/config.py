@@ -228,7 +228,7 @@ class RunConfig:
     # -- factories ----------------------------------------------------------
 
     def build_basis(self, cutoff=None) -> PlaneWaveBasis:
-        return PlaneWaveBasis(self.cell, cutoff or self.cutoff)
+        return PlaneWaveBasis(self.cell, cutoff if cutoff is not None else self.cutoff)
 
     def build_smearing(self, beta=None) -> Smearing:
         return Smearing(beta if beta is not None else self.beta)

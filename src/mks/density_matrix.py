@@ -18,7 +18,7 @@ import scipy.linalg
 from scipy.linalg import blas, lapack
 
 from .cell import GridFunction, PlaneWaveBasis
-from .potentials import ExternalPotential, XcFunctional, assemble_effective
+from .potentials import ExternalPotential, XcFunctional, interaction_energies
 from .smearing import Smearing, entropy
 
 __all__ = [
@@ -296,8 +296,8 @@ def free_energy(gamma: DensityMatrix, external: ExternalPotential,
             np.abs(gamma.orbitals) ** 2,
         )
     )
-    terms = assemble_effective(density(gamma), external, xc, hartree_on=hartree_on)
-    s = entropy(gamma.occupations, smearing)
-    return FreeEnergyBreakdown(kinetic, terms.e_ext, terms.e_hartree,
-                               terms.e_xc, s)
+    energies = interaction_energies(density(gamma), external, xc,
+                                    hartree_on=hartree_on)
+    return FreeEnergyBreakdown(kinetic, *energies,
+                               entropy(gamma.occupations, smearing))
 

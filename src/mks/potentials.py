@@ -5,6 +5,11 @@ G = 0 component removed (neutralizing background), used in every dimension
 as a model choice.  Exchange-correlation enters through a local functional
 t -> e_xc(t) with three derivatives and explicit growth constants, so the
 assumptions on the energy can be audited numerically.
+
+The SCF needs these terms in two forms, at two densities: the potential of
+H(rho_in) and the energies of F(Gamma_out).  ``assemble_effective`` makes
+the first, v_eff = v_ext + v_H + e_xc'(rho), and ``interaction_energies``
+the second, (e_ext, e_hartree, e_xc), from one forward FFT and e_xc.
 """
 
 from __future__ import annotations
@@ -23,10 +28,8 @@ __all__ = [
     "power_law_xc",
     "null_xc",
     "audit_xc",
-    "hartree",
-    "xc_eval",
-    "EffectivePotentialTerms",
     "assemble_effective",
+    "interaction_energies",
 ]
 
 DIRAC_COEFF = 0.738558766  # (3/4) (3/pi)^(1/3)
@@ -271,64 +274,43 @@ def audit_xc(xc: XcFunctional):
     }
 
 
-def coulomb_solve(basis: PlaneWaveBasis, values):
-    """Plain Fourier coefficients rhohat of real grid samples and the
-    grid values of their Coulomb potential sum_{G != 0} 4 pi rhohat(G) /
-    |G|^2 exp(i G.r).  Shared by ``hartree`` and the response kernel; not a
-    model term, so not in ``__all__``."""
+def coulomb_solve(basis: PlaneWaveBasis, values) -> np.ndarray:
+    """Grid values of the Coulomb potential sum_{G != 0} 4 pi rhohat(G) /
+    |G|^2 exp(i G.r) of real grid samples with plain Fourier coefficients
+    rhohat.  Shared by ``assemble_effective`` and the response kernel; not
+    a model term, so not in ``__all__``."""
     plain = basis.fourier_coefficients(values)
-    return plain, basis.fourier_values(basis.coulomb_multiplier * plain)
-
-
-def hartree(rho: GridFunction):
-    """Hartree potential and energy of a real density.
-
-    Returns (v_h, e_h) with vhat_h(G) = 4 pi rhohat(G) / |G|^2, the G = 0
-    component dropped, and e_h = (1/2) sum_G khat(G) |rhohat(G)|^2 >= 0 in
-    the orthonormal-coefficient convention.
-    """
-    basis = rho.basis
-    mult = basis.coulomb_multiplier
-    plain, v_values = coulomb_solve(basis, rho.values)
-    v_h = GridFunction(basis, v_values)
-    e_h = 0.5 * basis.cell.volume * float(np.sum(mult * np.abs(plain) ** 2))
-    return v_h, e_h
-
-
-def xc_eval(rho: GridFunction, xc: XcFunctional):
-    """Pointwise exchange-correlation potential and energy.
-
-    Returns (v_xc, e_xc) with v_xc = e'(rho) and e_xc = integral of e(rho).
-    """
-    basis = rho.basis
-    v = GridFunction(basis, xc.d1(rho.values))
-    e = float(np.sum(xc.e(rho.values)) * basis.quadrature_weight)
-    return v, e
-
-
-class EffectivePotentialTerms:
-    """Assembled one-body potential and its energy contributions."""
-
-    def __init__(self, v_ext, v_hartree, v_xc, v_eff, e_ext, e_hartree, e_xc):
-        self.v_ext = v_ext
-        self.v_hartree = v_hartree
-        self.v_xc = v_xc
-        self.v_eff = v_eff
-        self.e_ext = e_ext
-        self.e_hartree = e_hartree
-        self.e_xc = e_xc
+    return basis.fourier_values(basis.coulomb_multiplier * plain)
 
 
 def assemble_effective(rho: GridFunction, external: ExternalPotential,
-                       xc: XcFunctional, hartree_on=True) -> EffectivePotentialTerms:
-    """v_eff = v_ext + v_H(rho) + v_xc(rho) with per-term energies."""
+                       xc: XcFunctional, hartree_on=True) -> GridFunction:
+    """v_eff = v_ext + v_H(rho) + e_xc'(rho), the potential of H(rho).
+
+    vhat_H(G) = 4 pi rhohat(G) / |G|^2 with the G = 0 component dropped;
+    with ``hartree_on`` False the Hartree term is zero.
+    """
     basis = rho.basis
-    v_ext = external.evaluate(basis)
-    e_ext = float(np.sum(v_ext.values * rho.values) * basis.quadrature_weight)
+    v_h = coulomb_solve(basis, rho.values) if hartree_on else 0.0
+    return GridFunction(basis, external.evaluate(basis).values + v_h
+                        + xc.d1(rho.values))
+
+
+def interaction_energies(rho: GridFunction, external: ExternalPotential,
+                         xc: XcFunctional, hartree_on=True):
+    """(e_ext, e_hartree, e_xc) of a real density.
+
+    e_ext = int v_ext rho, e_hartree = (1/2) sum_G khat(G) |rhohat(G)|^2
+    >= 0 in the orthonormal-coefficient convention (zero with
+    ``hartree_on`` False), and e_xc = int e(rho).
+    """
+    basis = rho.basis
+    weight = basis.quadrature_weight
+    e_ext = float(np.sum(external.evaluate(basis).values * rho.values) * weight)
+    e_h = 0.0
     if hartree_on:
-        v_h, e_h = hartree(rho)
-    else:
-        v_h, e_h = GridFunction(basis, np.zeros(basis.fft_shape)), 0.0
-    v_xc, e_xc = xc_eval(rho, xc)
-    v_eff = GridFunction(basis, v_ext.values + v_h.values + v_xc.values)
-    return EffectivePotentialTerms(v_ext, v_h, v_xc, v_eff, e_ext, e_h, e_xc)
+        plain = basis.fourier_coefficients(rho.values)
+        e_h = 0.5 * basis.cell.volume * float(
+            np.sum(basis.coulomb_multiplier * np.abs(plain) ** 2))
+    e_xc = float(np.sum(xc.e(rho.values)) * weight)
+    return e_ext, e_h, e_xc

@@ -247,8 +247,8 @@ class ResponseContext:
         """dv = v_H(rho) + e_xc''(rho_bar) rho on the grid, flattened."""
         dv = self._fxc * rho_flat
         if self.hartree_on:
-            _, vh = coulomb_solve(self.basis, rho_flat.reshape(self.basis.fft_shape))
-            dv += vh.reshape(-1)
+            rho = rho_flat.reshape(self.basis.fft_shape)
+            dv += coulomb_solve(self.basis, rho).reshape(-1)
         return dv
 
     def matrix_elements(self, potential_flat) -> np.ndarray:

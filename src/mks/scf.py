@@ -257,8 +257,8 @@ def fixed_point_map(rho_in: GridFunction, external: ExternalPotential,
         raise ScfError(
             f"{n_electrons} electrons cannot be held by {basis.size} plane waves"
         )
-    terms = assemble_effective(rho_in, external, xc, hartree_on=hartree_on)
-    ham = Hamiltonian(basis, terms.v_eff)
+    ham = Hamiltonian(basis, assemble_effective(rho_in, external, xc,
+                                                hartree_on=hartree_on))
 
     m = n_states or min(basis.size, int(np.ceil(n_electrons)) + STATE_BUFFER)
     m = max(m, int(np.floor(n_electrons)) + 1)
@@ -546,9 +546,8 @@ def free_energy_gradient(gamma: DensityMatrix, external: ExternalPotential,
     occupations reach 0 or 1; pair it with tangents supported on
     fractionally occupied states.
     """
-    rho = density(gamma)
-    terms = assemble_effective(rho, external, xc, hartree_on=hartree_on)
-    ham = Hamiltonian(gamma.basis, terms.v_eff)
+    ham = Hamiltonian(gamma.basis, assemble_effective(density(gamma), external,
+                                                      xc, hartree_on=hartree_on))
     grad = blas.zgemm(1.0, gamma.orbitals, ham.apply(gamma.orbitals), trans_a=2)
     f = np.clip(gamma.occupations, 1e-300, 1.0 - 1e-16)
     grad[np.diag_indices_from(grad)] += (np.log(f) - np.log1p(-f)) / smearing.beta

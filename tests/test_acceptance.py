@@ -225,12 +225,12 @@ def test_criterion_09_small_case_oracle_equivalence():
         assert basis.size <= 32
 
         # Hamiltonian assembly against explicit mode-pair quadrature
-        terms = assemble_effective(state.rho, state.external, state.xc,
+        v_eff = assemble_effective(state.rho, state.external, state.xc,
                                    hartree_on=state.hartree_on)
-        ham = Hamiltonian(basis, terms.v_eff)
+        ham = Hamiltonian(basis, v_eff)
         dense = ham.dense()
         pts = grid_points(basis).reshape(-1, 1)
-        v = terms.v_eff.values.reshape(-1)
+        v = v_eff.values.reshape(-1)
         explicit = np.empty_like(dense)
         for a in range(basis.size):
             for b in range(basis.size):

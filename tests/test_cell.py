@@ -228,7 +228,7 @@ def test_grid_function_shape_and_basis_checks():
 
 
 def test_invalid_cutoff_rejected():
-    with pytest.raises(ValueError):
-        PlaneWaveBasis(Cell(10.0), 0.0)
-    with pytest.raises(ValueError):
-        PlaneWaveBasis(Cell(10.0), -2.0)
+    # an infinite cutoff would overflow into one plane wave on a one-point grid
+    for cutoff in (0.0, -1.0, -2.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="cutoff must be positive and finite"):
+            PlaneWaveBasis(Cell(6.28), cutoff)

@@ -49,6 +49,8 @@ def test_scf_json_mode(tmp_path, capsys):
     assert summary["basis_exhausted"] is True
     assert read_json(out / "scf_summary.json") == summary
 
+    # "\n" line ends, as in sweep_beta*.csv, so the last field has no "\r"
+    assert b"\r" not in (out / "scf_iterations.csv").read_bytes()
     lines = (out / "scf_iterations.csv").read_text().strip().split("\n")
     assert lines[0] == (
         "iteration,free_energy,density_residual,mu,n_states,precond_products,"
@@ -162,6 +164,7 @@ def test_sweep_writes_tagged_files_per_beta(tmp_path, capsys):
         summary = read_json(out / f"sweep_beta{tag}.json")
         jsonschema.validate(summary, schema)
         assert summary["beta"] == beta
+        assert b"\r" not in (out / f"sweep_beta{tag}.csv").read_bytes()
         lines = (out / f"sweep_beta{tag}.csv").read_text().strip().split("\n")
         assert len(lines) == 3
         assert lines[0].startswith("ec,")

@@ -127,6 +127,12 @@ def test_run_single_cutoff_and_beta_overrides():
     assert state.free_energy.total == pytest.approx(expected, abs=1e-11)
 
 
+def test_run_single_refuses_a_zero_cutoff():
+    # only None means the configured cutoff; a zero reaches the basis
+    with pytest.raises(ValueError, match="cutoff must be positive and finite"):
+        run_single(RunConfig.from_file("free1d"), cutoff=0.0)
+
+
 # -- sweeps ------------------------------------------------------------------
 
 

@@ -20,12 +20,25 @@ from mks.potentials import (
     dirac_corr,
     dirac_exchange,
     gaussian_wells,
-    hartree,
+    interaction_energies,
     null_xc,
     power_law_xc,
-    xc_eval,
 )
 from mks.scf import Hamiltonian
+
+
+def hartree_terms(rho):
+    """(v_H, e_H) alone: no external potential and no xc."""
+    zero, none = ExternalPotential.zero(), null_xc()
+    return (assemble_effective(rho, zero, none),
+            interaction_energies(rho, zero, none)[1])
+
+
+def xc_terms(rho, xc):
+    """(e_xc'(rho), int e_xc(rho)) alone: no external potential, no Hartree."""
+    zero = ExternalPotential.zero()
+    return (assemble_effective(rho, zero, xc, hartree_on=False),
+            interaction_energies(rho, zero, xc, hartree_on=False)[2])
 
 
 def gaussian_image_sum(points, centers, depths, widths, length, reps=4):
@@ -114,7 +127,7 @@ def test_hartree_matches_direct_summation():
     x = grid_points(basis)[..., 0]
     b1 = 2.0 * np.pi / 10.0
     rho = GridFunction(basis, 0.4 + 0.25 * np.cos(b1 * x) + 0.1 * np.sin(2 * b1 * x))
-    v_h, e_h = hartree(rho)
+    v_h, e_h = hartree_terms(rho)
 
     cart, coeffs = direct_plain_coefficients(rho.values, basis)
     g2 = np.einsum("ij,ij->i", cart, cart)
@@ -138,7 +151,7 @@ def test_hartree_cosine_closed_form():
     g1 = 2.0 * np.pi / length
     amp = 0.3
     rho = GridFunction(basis, amp * np.cos(g1 * x))
-    v_h, e_h = hartree(rho)
+    v_h, e_h = hartree_terms(rho)
     assert e_h == pytest.approx(np.pi * length * amp**2 / g1**2, rel=1e-12)
     np.testing.assert_allclose(
         v_h.values, (4.0 * np.pi * amp / g1**2) * np.cos(g1 * x), atol=1e-11
@@ -153,7 +166,7 @@ def test_power_law_xc_unit_density_closed_form():
     basis = build_basis(Cell(2.0 * np.pi), 6.0)
     rho = GridFunction(basis, np.ones(basis.fft_shape))
     xc = power_law_xc(0.75)
-    v, e = xc_eval(rho, xc)
+    v, e = xc_terms(rho, xc)
     assert e == pytest.approx(-0.75 * 2.0 * np.pi, rel=1e-13)
     np.testing.assert_allclose(v.values, -1.0, atol=1e-13)
 
@@ -171,10 +184,10 @@ def test_xc_energy_directional_derivative(make_xc):
     eta = GridFunction(basis, np.sin(2 * b1 * x) + 0.2)
     xc = make_xc()
     eps = 1e-6
-    _, e_plus = xc_eval(rho + eps * eta, xc)
-    _, e_minus = xc_eval(rho + (-eps) * eta, xc)
+    _, e_plus = xc_terms(rho + eps * eta, xc)
+    _, e_minus = xc_terms(rho + (-eps) * eta, xc)
     fd = (e_plus - e_minus) / (2.0 * eps)
-    v, _ = xc_eval(rho, xc)
+    v, _ = xc_terms(rho, xc)
     exact = (v * eta).integral()
     assert fd == pytest.approx(exact, rel=1e-5)
 
@@ -195,7 +208,7 @@ def test_xc_clamps_vanishing_density():
     assert np.isfinite(float(xc.d2(0.0)))
     basis = build_basis(Cell(5.0), 4.0)
     rho = GridFunction(basis, np.zeros(basis.fft_shape))
-    v, e = xc_eval(rho, xc)
+    v, e = xc_terms(rho, xc)
     assert np.all(np.isfinite(v.values))
     assert np.isfinite(e)
 
@@ -203,7 +216,7 @@ def test_xc_clamps_vanishing_density():
 def test_null_xc_is_inert():
     basis = build_basis(Cell(5.0), 4.0)
     rho = GridFunction(basis, np.full(basis.fft_shape, 0.7))
-    v, e = xc_eval(rho, null_xc())
+    v, e = xc_terms(rho, null_xc())
     assert e == 0.0
     assert np.all(v.values == 0.0)
 
@@ -251,15 +264,19 @@ def test_assemble_effective_sums_terms():
     x = grid_points(basis)[..., 0]
     rho = GridFunction(basis, 0.5 + 0.2 * np.cos(2.0 * np.pi * x / 10.0))
     external = gaussian_wells([[5.0]], [-1.5], [0.9])
-    terms = assemble_effective(rho, external, dirac_exchange(), hartree_on=True)
+    xc = dirac_exchange()
+    v_ext = external.evaluate(basis)
+    v_h, e_h = hartree_terms(rho)
+    v_xc, e_xc = xc_terms(rho, xc)
+    v_eff = assemble_effective(rho, external, xc, hartree_on=True)
     np.testing.assert_allclose(
-        terms.v_eff.values,
-        terms.v_ext.values + terms.v_hartree.values + terms.v_xc.values,
-        atol=1e-13,
+        v_eff.values, v_ext.values + v_h.values + v_xc.values, atol=1e-13
     )
-    e_ext_oracle = (terms.v_ext * rho).integral()
-    assert terms.e_ext == pytest.approx(e_ext_oracle, rel=1e-12)
+    e_ext, e_hartree, e_xc_all = interaction_energies(rho, external, xc)
+    e_ext_oracle = (v_ext * rho).integral()
+    assert e_ext == pytest.approx(e_ext_oracle, rel=1e-12)
+    assert (e_hartree, e_xc_all) == (e_h, e_xc)
 
-    off = assemble_effective(rho, external, dirac_exchange(), hartree_on=False)
-    assert off.e_hartree == 0.0
-    assert np.all(off.v_hartree.values == 0.0)
+    off = assemble_effective(rho, external, xc, hartree_on=False)
+    assert interaction_energies(rho, external, xc, hartree_on=False)[1] == 0.0
+    np.testing.assert_array_equal(off.values, v_ext.values + v_xc.values)

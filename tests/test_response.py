@@ -27,7 +27,7 @@ from mks.cli import main
 from mks.config import RunConfig, bundled_config_path
 from mks.density_matrix import DensityMatrix
 from mks.harness import run_single
-from mks.potentials import hartree
+from mks.potentials import ExternalPotential, assemble_effective, null_xc
 from mks.response import (
     ResponseContext,
     TangentPerturbation,
@@ -189,7 +189,6 @@ def direct_kernel_potential(ctx, rho_flat):
 
 def chi_finite_difference(state, psi, eps=1e-5):
     """(d/d eps) f_mu(H + eps dv[rho_psi]) in the retained orbital frame."""
-    from mks.potentials import assemble_effective
     from mks.scf import Hamiltonian
 
     ctx = ResponseContext(state)
@@ -210,9 +209,9 @@ def chi_finite_difference(state, psi, eps=1e-5):
             dg = basis.g_cart[a] - basis.g_cart[b]
             v_mat[a, b] = np.sum(dv * np.exp(-1j * (pts @ dg))) / len(pts)
 
-    terms = assemble_effective(state.rho, state.external, state.xc,
+    v_eff = assemble_effective(state.rho, state.external, state.xc,
                                hartree_on=state.hartree_on)
-    h0 = Hamiltonian(basis, terms.v_eff).dense()
+    h0 = Hamiltonian(basis, v_eff).dense()
     sm, mu = state.smearing, state.mu
 
     def gamma_projection(sign):
@@ -278,7 +277,8 @@ def test_kernel_potential_matches_hartree_without_xc(ctx_rhf1d):
     basis = ctx_rhf1d.basis
     psi = random_hermitian(ctx_rhf1d.n_states, seed=45)
     rho = ctx_rhf1d.pair_density(psi).real
-    v_h, _ = hartree(GridFunction(basis, rho.reshape(basis.fft_shape)))
+    v_h = assemble_effective(GridFunction(basis, rho.reshape(basis.fft_shape)),
+                             ExternalPotential.zero(), null_xc())
     np.testing.assert_allclose(
         ctx_rhf1d.kernel_potential(rho), v_h.values.reshape(-1), rtol=0, atol=1e-14
     )

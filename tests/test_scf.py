@@ -25,7 +25,9 @@ from mks.density_matrix import (
 from mks.harness import quasi_optimality, run_single, run_sweep
 from mks.potentials import (
     ExternalPotential,
+    XcFunctional,
     assemble_effective,
+    dirac_exchange,
     gaussian_wells,
     null_xc,
 )
@@ -103,9 +105,9 @@ def test_hamiltonian_dense_matches_apply():
 
 
 def state_hamiltonian(state):
-    terms = assemble_effective(state.rho, state.external, state.xc,
+    v_eff = assemble_effective(state.rho, state.external, state.xc,
                                hartree_on=state.hartree_on)
-    return Hamiltonian(state.basis, terms.v_eff)
+    return Hamiltonian(state.basis, v_eff)
 
 
 # a 1d, a skewed 2d and a 3d basis
@@ -222,8 +224,8 @@ def uniform_hamiltonian(name, cutoff):
     cfg = RunConfig.from_file(name)
     basis = cfg.build_basis(cutoff)
     rho = GridFunction(basis, np.full(basis.fft_shape, cfg.n_electrons / basis.cell.volume))
-    terms = assemble_effective(rho, cfg.external, cfg.xc, hartree_on=cfg.hartree_on)
-    return Hamiltonian(basis, terms.v_eff)
+    v_eff = assemble_effective(rho, cfg.external, cfg.xc, hartree_on=cfg.hartree_on)
+    return Hamiltonian(basis, v_eff)
 
 
 # one Hamiltonian on each side of scf.FULL_SPECTRUM_MAX: si1d's 21 plane
@@ -418,6 +420,31 @@ def test_run_scf_computes_one_density_per_iteration(monkeypatch):
     assert len(calls) == state.iterations
     state.residual_fixedpoint
     assert len(calls) == state.iterations + 1
+
+
+def test_scf_evaluates_xc_once_per_iteration():
+    # each iteration makes v_eff(rho_in) for the map and F(Gamma_out) for the
+    # convergence test: one e_xc' and one e_xc evaluation, on different
+    # densities
+    base = dirac_exchange()
+    calls = {"e": 0, "d1": 0}
+
+    def counting(name, f):
+        def counted(t):
+            calls[name] += 1
+            return f(t)
+        return counted
+
+    xc = XcFunctional("counting", counting("e", base._e), counting("d1", base._d1),
+                      base._d2, base._d3, base.c0, base.c1, base.c2, base.p1, base.p2)
+    cfg = RunConfig.from_file("si1d")
+    state = run_scf(
+        cfg.build_basis(), cfg.external, xc,
+        cfg.build_smearing(), cfg.n_electrons, hartree_on=cfg.hartree_on,
+        tol_rho=cfg.tol_rho, tol_f=cfg.tol_f, max_iter=cfg.max_iter,
+    )
+    assert state.iterations > 1
+    assert calls == {"e": state.iterations, "d1": state.iterations}
 
 
 def test_tiny3d_converges_within_ten_iterations():
