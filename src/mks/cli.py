@@ -78,8 +78,14 @@ def _write_json(path, payload) -> None:
 
 
 def _cutoff_list(args):
+    """--cutoffs as numbers; only a missing option means the configured list,
+    and an empty one is refused by the sweep."""
+    if args.cutoffs is None:
+        return None
+    if not args.cutoffs.strip():
+        return []
     try:
-        return [float(c) for c in args.cutoffs.split(",")] if args.cutoffs else None
+        return [float(c) for c in args.cutoffs.split(",")]
     except ValueError:
         raise ConfigError(f"--cutoffs {args.cutoffs!r}: expected numbers") from None
 

@@ -7,6 +7,13 @@ checks the quasi-optimality ratio of the Galerkin solutions.  Both the
 sweep and the quasi-optimality check take their states from one engine,
 ``_swept_solves``, so the quasi-optimality ratios are the sweep's
 ``ratio`` column.
+
+The engine solves each set of swept states once per process: it keeps
+what it solved, keyed by the config's effective items, the cutoffs, the
+reference cutoff and beta, and hands the same states to every later
+caller.  So a ``quasi_optimality`` after a ``run_sweep`` at the configured
+beta (or the reverse) makes no SCF solve.  Only the most recent config's
+solves are kept: a different config empties the memo before it solves.
 """
 
 from __future__ import annotations
@@ -72,8 +79,11 @@ def run_single(config: RunConfig, cutoff=None, beta=None,
 
 
 def _sweep_inputs(config, cutoffs, reference):
-    """Sorted swept cutoffs and a reference cutoff at least twice the largest."""
-    cutoffs = sorted(float(c) for c in (cutoffs or config.sweep_cutoffs))
+    """Sorted swept cutoffs, as a tuple, and a reference cutoff at least
+    twice the largest; only ``cutoffs=None`` means the configured list."""
+    if cutoffs is None:
+        cutoffs = config.sweep_cutoffs
+    cutoffs = tuple(sorted(float(c) for c in cutoffs))
     if not cutoffs:
         raise ConfigError("sweep requires a cutoff list")
     reference = config.sweep_reference if reference is None else float(reference)
@@ -226,19 +236,36 @@ class SweepResult:
         }
 
 
+# (effective items, cutoffs, reference, beta) -> what _swept_solves returned,
+# for the most recent config only
+_SWEPT = {}
+
+
 def _swept_solves(config, cutoffs, reference, beta):
     """Validated cutoffs and reference, the tightened reference state, and a
     (state, wall_s) pair per swept cutoff.  Every swept SCF starts from the
     reference density, which lies within the discretisation error of each
-    swept ground state."""
+    swept ground state.
+
+    The result is kept in ``_SWEPT`` and returned as is to a later call with
+    the same inputs: callers share the states and must not write into them.
+    A different config empties ``_SWEPT`` first; a failed solve stores
+    nothing."""
     cutoffs, reference = _sweep_inputs(config, cutoffs, reference)
+    items = tuple(config.effective_items())
+    key = (items, cutoffs, reference, beta)
+    if key in _SWEPT:
+        return _SWEPT[key]
+    if any(other[0] != items for other in _SWEPT):
+        _SWEPT.clear()
     ref = run_single(config, cutoff=reference, beta=beta, tighten=0.1)
     swept = []
     for ec in cutoffs:
         start = time.perf_counter()
         state = run_single(config, cutoff=ec, beta=beta, initial_rho=ref.rho)
         swept.append((state, time.perf_counter() - start))
-    return cutoffs, reference, ref, swept
+    _SWEPT[key] = (cutoffs, reference, ref, tuple(swept))
+    return _SWEPT[key]
 
 
 def run_sweep(config: RunConfig, cutoffs=None, reference=None,
@@ -280,6 +307,8 @@ def quasi_optimality(config: RunConfig, cutoffs=None, reference=None) -> dict:
     the occupied orbital-error constant with phases aligned by overlap.
     The states are the sweep's own swept solves at the configured beta, so
     the ratios are its ``ratio`` column; no A4 audit or decay fit is run.
+    After a ``run_sweep`` of the same config, cutoffs and reference at that
+    beta in this process, the states are the sweep's and no SCF is solved.
     The ratio must stay below the configured bound and must not trend
     upward: its maximum over the finer half must not exceed 1.25x the
     maximum over the coarser half.
@@ -319,7 +348,7 @@ def quasi_optimality(config: RunConfig, cutoffs=None, reference=None) -> dict:
     max_ratio = max(ratios)
     slope = float(np.polyfit(cutoffs, ratios, 1)[0]) if len(ratios) > 1 else 0.0
     return {
-        "cutoffs": cutoffs,
+        "cutoffs": list(cutoffs),
         "ratios": ratios,
         "max_ratio": max_ratio,
         "bound": config.quasi_opt_bound,

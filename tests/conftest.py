@@ -1,6 +1,7 @@
 """Shared fixtures: converged benchmark states, solved once per session,
-the dense column-by-column oracle of the response operator, the dense
-grid oracle of the SCF's dielectric preconditioner, and the
+a cold start of the harness' swept solves in every test and a spy on its
+SCF solves, the dense column-by-column oracle of the response operator,
+the dense grid oracle of the SCF's dielectric preconditioner, and the
 density-matrix oracles the tests build states and quadratic forms with."""
 
 import weakref
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from mks import harness
 from mks.config import RunConfig
 from mks.density_matrix import DensityMatrix
 from mks.harness import run_single
@@ -16,6 +18,26 @@ from mks.response import hermitian_to_coords
 
 _STATES = {}
 _DENSE_BARE = weakref.WeakKeyDictionary()
+
+
+@pytest.fixture(autouse=True)
+def cold_swept_solves():
+    """Every test starts with no swept solves kept from an earlier one."""
+    harness._SWEPT.clear()
+
+
+def spy_on_run_scf(monkeypatch):
+    """The list of (basis, initial_rho) each SCF solve of the harness
+    appends to."""
+    calls = []
+    solve = harness.run_scf
+
+    def spy(basis, *args, initial_rho=None, **kwargs):
+        calls.append((basis, initial_rho))
+        return solve(basis, *args, initial_rho=initial_rho, **kwargs)
+
+    monkeypatch.setattr(harness, "run_scf", spy)
+    return calls
 
 
 def converged_state(name, cutoff=None, beta=None):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import converged_state
+from conftest import converged_state, spy_on_run_scf
 
 import mks
 from mks.cli import main
@@ -203,6 +203,8 @@ def test_sweep_is_deterministic_with_timing_off(tmp_path):
     cfg.write_text(free1d_text(sweep="timing = off"))
     outputs = []
     for tag in ("a", "b"):
+        # the second run solves again rather than reuse the first one's states
+        mks.harness._SWEPT.clear()
         out = tmp_path / tag
         code = main([
             "sweep", "--config", str(cfg), "--json", "--out", str(out),
@@ -228,6 +230,58 @@ def test_quasi_opt_json(tmp_path, capsys):
     assert len(report["ratios"]) == 3
     assert np.isfinite(report["orbital_constant"])
     assert read_json(out / "quasi_opt.json") == report
+
+
+def si1d_without_timing(tmp_path):
+    cfg = tmp_path / "si1d.cfg"
+    cfg.write_text(bundled_config_path("si1d").read_text().replace(
+        "[sweep]", "[sweep]\ntiming = off"))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("first, second, solves", [
+    ("sweep", "quasi-opt", (18, 0)),
+    ("quasi-opt", "sweep", (6, 12)),
+])
+def test_quasi_opt_and_sweep_share_solves_in_one_process(
+        tmp_path, monkeypatch, first, second, solves):
+    # three betas of a reference and five cutoffs each; quasi-opt takes
+    # the configured beta 40, which the sweep also covers
+    cfg = si1d_without_timing(tmp_path)
+    calls = spy_on_run_scf(monkeypatch)
+    counts = []
+    for command in (first, second):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        counts.append(len(calls))
+        calls.clear()
+    assert tuple(counts) == solves
+
+
+def test_back_to_back_outputs_match_cold_ones(tmp_path):
+    cfg = si1d_without_timing(tmp_path)
+    runs = {}
+    for mode in ("cold", "warm"):
+        out = tmp_path / mode
+        for command in ("sweep", "quasi-opt"):
+            if mode == "cold":
+                mks.harness._SWEPT.clear()
+            assert main([command, "--config", cfg, "--json", "--out", str(out)]) == 0
+        runs[mode] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(runs["cold"]) == [
+        "quasi_opt.json", "sweep_beta4.csv", "sweep_beta4.json",
+        "sweep_beta40.csv", "sweep_beta40.json",
+        "sweep_beta400.csv", "sweep_beta400.json",
+    ]
+    assert runs["warm"] == runs["cold"]
+
+
+def test_a_sweep_of_another_config_evicts_the_solves(tmp_path, monkeypatch):
+    cfg = si1d_without_timing(tmp_path)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert main(["sweep", "--config", "rhf1d", "--out", str(tmp_path / "b")]) == 0
+    calls = spy_on_run_scf(monkeypatch)
+    assert main(["quasi-opt", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert len(calls) == 6
 
 
 def test_missing_config_key_exits_2(tmp_path, capsys):
@@ -322,6 +376,7 @@ def test_bad_system_scalar_exits_2(tmp_path, capsys, key, value, reason):
     (["--cutoffs", "2,nan"], "got nan"),
     (["--reference", "-5"], "got -5"),
     (["--reference", "inf"], "got inf"),
+    (["--cutoffs", ""], "sweep requires a cutoff list"),
 ])
 def test_bad_sweep_input_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
                                                   command, args, fragment):

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
-from conftest import converged_state
+from conftest import converged_state, spy_on_run_scf
 from mks import harness
 from mks.cell import l2_norm
-from mks.config import ConfigError, RunConfig
+from mks.config import ConfigError, RunConfig, bundled_config_path
 from mks.density_matrix import DensityMatrix, s11_distance
 from mks.harness import (
     CSV_COLUMNS,
@@ -24,6 +24,7 @@ from mks.harness import (
     run_single,
     run_sweep,
 )
+from mks.scf import ScfError
 
 MINIMAL_CFG = """
 [cell]
@@ -231,6 +232,15 @@ def test_sweep_validation_errors():
         run_sweep(cfg, cutoffs=[2.0, 4.0], reference=6.0)
 
 
+@pytest.mark.parametrize("driver", [run_sweep, quasi_optimality])
+def test_an_empty_cutoff_list_is_refused(monkeypatch, driver):
+    # only cutoffs=None means the configured list (2, 4, 6, 8, 12 here)
+    calls = spy_on_run_scf(monkeypatch)
+    with pytest.raises(ConfigError, match="sweep requires a cutoff list"):
+        driver(RunConfig.from_file("free1d"), cutoffs=[])
+    assert calls == []
+
+
 def test_si1d_sweep_iterations_stay_low():
     # swept SCFs start from the reference density: 61 iterations over the
     # five cutoffs with the dielectric preconditioner (131 with plain
@@ -238,18 +248,6 @@ def test_si1d_sweep_iterations_stay_low():
     # leaves a margin of 9
     sweep = run_sweep(RunConfig.from_file("si1d"), beta=400.0)
     assert sum(row["scf_iters"] for row in sweep.rows) <= 70
-
-
-def spy_on_run_scf(monkeypatch):
-    calls = []
-    solve = harness.run_scf
-
-    def spy(basis, *args, initial_rho=None, **kwargs):
-        calls.append((basis, initial_rho))
-        return solve(basis, *args, initial_rho=initial_rho, **kwargs)
-
-    monkeypatch.setattr(harness, "run_scf", spy)
-    return calls
 
 
 @pytest.mark.parametrize("driver", [run_sweep, quasi_optimality])
@@ -268,6 +266,48 @@ def test_swept_solves_start_from_the_reference_density(monkeypatch, driver):
     for basis, start in swept:
         assert start is not None and start.basis == basis
     assert len(audits) == (1 if driver is run_sweep else 0)
+
+
+def test_swept_solves_are_kept_for_the_same_inputs(monkeypatch):
+    # the states are shared, not copied, whichever driver solved them
+    cfg = RunConfig.from_file("si1d")
+    calls = spy_on_run_scf(monkeypatch)
+    report = quasi_optimality(cfg, cutoffs=[2.0, 3.0, 4.0], reference=8.0)
+    assert len(calls) == 4
+    first = harness._swept_solves(cfg, [4.0, 2.0, 3.0], 8.0, cfg.beta)
+    sweep = run_sweep(RunConfig.from_file("si1d"), cutoffs=[2.0, 3.0, 4.0],
+                      reference=8.0)
+    assert len(calls) == 4
+    assert harness._swept_solves(cfg, [2.0, 3.0, 4.0], 8.0, cfg.beta) is first
+    assert report["ratios"] == [row["ratio"] for row in sweep.rows]
+    # another beta, cutoff list or reference is another set of solves
+    run_sweep(cfg, cutoffs=[2.0, 3.0, 4.0], reference=8.0, beta=4.0)
+    run_sweep(cfg, cutoffs=[2.0, 4.0], reference=8.0)
+    run_sweep(cfg, cutoffs=[2.0, 3.0, 4.0], reference=9.0)
+    assert len(calls) == 4 + 4 + 3 + 4
+    assert len(harness._SWEPT) == 4
+
+
+def test_a_different_config_empties_the_memo(monkeypatch):
+    si1d, rhf1d = RunConfig.from_file("si1d"), RunConfig.from_file("rhf1d")
+    run_sweep(si1d, cutoffs=[2.0, 3.0], reference=8.0)
+    run_sweep(rhf1d, cutoffs=[2.0, 3.0], reference=8.0)
+    items = tuple(rhf1d.effective_items())
+    assert [key[0] == items for key in harness._SWEPT] == [True]
+    calls = spy_on_run_scf(monkeypatch)
+    quasi_optimality(si1d, cutoffs=[2.0, 3.0], reference=8.0)
+    assert len(calls) == 3
+
+
+def test_a_failed_reference_solve_stores_nothing():
+    # two SCF iterations cannot converge the tightened reference
+    run_sweep(RunConfig.from_file("si1d"), cutoffs=[2.0, 3.0], reference=8.0)
+    text = bundled_config_path("si1d").read_text()
+    assert "max_iter = 200" in text
+    cfg = RunConfig.from_text(text.replace("max_iter = 200", "max_iter = 1"))
+    with pytest.raises(ScfError, match="no convergence in 2 iterations"):
+        run_sweep(cfg, cutoffs=[2.0, 3.0], reference=8.0)
+    assert harness._SWEPT == {}
 
 
 @pytest.fixture(scope="module", params=[("si1d", 400.0), ("rhf1d", 4.0)],
@@ -321,8 +361,11 @@ def test_quasi_optimality_free1d_orbital_constants_are_zero():
 
 
 def test_quasi_optimality_matches_sweep_ratios():
+    # emptying the memo makes the sweep solve its states again, so the
+    # ratios of two independent solves are compared
     cfg = RunConfig.from_file("si1d")
     report = quasi_optimality(cfg, cutoffs=[2.0, 3.0, 4.0], reference=8.0)
+    harness._SWEPT.clear()
     sweep = run_sweep(cfg, cutoffs=[2.0, 3.0, 4.0], reference=8.0, beta=cfg.beta)
     assert report["ratios"] == [row["ratio"] for row in sweep.rows]
 
