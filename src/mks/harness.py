@@ -8,12 +8,14 @@ sweep and the quasi-optimality check take their states from one engine,
 ``_swept_solves``, so the quasi-optimality ratios are the sweep's
 ``ratio`` column.
 
-The engine solves each set of swept states once per process: it keeps
-what it solved, keyed by the config's effective items, the cutoffs, the
-reference cutoff and beta, and hands the same states to every later
+The engine solves each set of swept states once per process, and measures
+each swept state's errors against the reference once: it keeps what it
+made, keyed by the config's effective items, the cutoffs, the reference
+cutoff and beta, and hands the same states and errors to every later
 caller.  So a ``quasi_optimality`` after a ``run_sweep`` at the configured
-beta (or the reverse) makes no SCF solve.  Only the most recent config's
-solves are kept: a different config empties the memo before it solves.
+beta (or the reverse) makes no SCF solve and no S^{1,1} distance.  Only
+the most recent config's solves are kept: a different config empties the
+memo before it solves.
 """
 
 from __future__ import annotations
@@ -243,14 +245,15 @@ _SWEPT = {}
 
 def _swept_solves(config, cutoffs, reference, beta):
     """Validated cutoffs and reference, the tightened reference state, and a
-    (state, wall_s) pair per swept cutoff.  Every swept SCF starts from the
-    reference density, which lies within the discretisation error of each
-    swept ground state.
+    (state, wall_s, errors) triple per swept cutoff, ``errors`` being the
+    state's ``_point_errors`` against the reference.  Every swept SCF starts
+    from the reference density, which lies within the discretisation error
+    of each swept ground state.
 
     The result is kept in ``_SWEPT`` and returned as is to a later call with
-    the same inputs: callers share the states and must not write into them.
-    A different config empties ``_SWEPT`` first; a failed solve stores
-    nothing."""
+    the same inputs: callers share the states and the errors and must not
+    write into them.  A different config empties ``_SWEPT`` first; a failed
+    solve stores nothing."""
     cutoffs, reference = _sweep_inputs(config, cutoffs, reference)
     items = tuple(config.effective_items())
     key = (items, cutoffs, reference, beta)
@@ -263,7 +266,8 @@ def _swept_solves(config, cutoffs, reference, beta):
     for ec in cutoffs:
         start = time.perf_counter()
         state = run_single(config, cutoff=ec, beta=beta, initial_rho=ref.rho)
-        swept.append((state, time.perf_counter() - start))
+        wall = time.perf_counter() - start
+        swept.append((state, wall, _point_errors(state, ref)))
     _SWEPT[key] = (cutoffs, reference, ref, tuple(swept))
     return _SWEPT[key]
 
@@ -278,9 +282,9 @@ def run_sweep(config: RunConfig, cutoffs=None, reference=None,
     beta = float(beta if beta is not None else config.beta)
     cutoffs, reference, ref, swept = _swept_solves(config, cutoffs, reference, beta)
     rows = []
-    for ec, (state, wall) in zip(cutoffs, swept):
+    for ec, (_, wall, errors) in zip(cutoffs, swept):
         row = {"ec": ec, "wall_s": wall if config.timing else 0.0}
-        row.update(_point_errors(state, ref))
+        row.update(errors)
         rows.append(row)
 
     def try_fit(key, floor):
@@ -305,10 +309,10 @@ def quasi_optimality(config: RunConfig, cutoffs=None, reference=None) -> dict:
     For each swept cutoff: ratio = ||Gamma_n - Gamma_ref||_S11 /
     ||Pi_n Gamma_ref - Gamma_ref||_S11 (the sweep's ``_point_errors``), plus
     the occupied orbital-error constant with phases aligned by overlap.
-    The states are the sweep's own swept solves at the configured beta, so
-    the ratios are its ``ratio`` column; no A4 audit or decay fit is run.
+    The states and their errors are the sweep's own at the configured beta,
+    so the ratios are its ``ratio`` column; no A4 audit or decay fit is run.
     After a ``run_sweep`` of the same config, cutoffs and reference at that
-    beta in this process, the states are the sweep's and no SCF is solved.
+    beta in this process, no SCF is solved and no ratio measured again.
     The ratio must stay below the configured bound and must not trend
     upward: its maximum over the finer half must not exceed 1.25x the
     maximum over the coarser half.
@@ -320,8 +324,8 @@ def quasi_optimality(config: RunConfig, cutoffs=None, reference=None) -> dict:
     n_occ = int(round(config.n_electrons))
 
     ratios, constants = [], []
-    for state, _ in swept:
-        ratios.append(_point_errors(state, ref)["ratio"])
+    for state, _, errors in swept:
+        ratios.append(errors["ratio"])
 
         pos = mode_positions(state.basis, ref_basis)
         embedded = embed_dm(state.gamma, ref_basis).orbitals

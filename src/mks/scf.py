@@ -14,16 +14,19 @@ the residual r = rho_out - rho_in with alpha 0.5.  Once the density
 residual is below PRECOND_THRESHOLD, it takes the dielectric-preconditioned
 residual delta rho = (I - J)^{-1} r with alpha 1 instead, where J = chi_0 K
 is the density response of the current iterate at a fixed electron count
-(ResponseContext.density_response) and the solve is one loose GMRES cycle
-(Herbst & Levitt, J. Phys.: Condens. Matter 33, 085503 (2021)), written
-here so that it makes only the products it uses: scipy's gmres closes each
-cycle with a product b - A x that this loop has no use for.  The context
+(ResponseContext.density_response) and the solve is one GMRES cycle to a
+relative residual of PRECOND_RTOL (Herbst & Levitt, J. Phys.: Condens.
+Matter 33, 085503 (2021)), written here so that it makes only the products
+it uses: scipy's gmres closes each cycle with a product b - A x that this
+loop has no use for.  The context
 reads the grid samples the iterate's density was made from, so a
 preconditioned step transforms no orbital again.  The
-threshold keeps the step away from the first iterates, whose response can
-be far from the fixed point's: from the uniform density at beta 1e4 on
-si1d every f' of the first iterates underflows, and an SCF preconditioned
-from its first step does not converge there within 200 iterations.
+threshold keeps the step away from the first iterates of a cold start,
+whose response can be far from the fixed point's: from the uniform density
+at beta 1e4 on si1d every f' of the first iterates underflows, and an SCF
+preconditioned from its first step does not converge there within 200
+iterations.  It lets in every step of the 1d sweeps' swept solves, which
+start from the reference density, close to their fixed points.
 """
 
 from __future__ import annotations
@@ -75,8 +78,21 @@ STATE_BUFFER = 8
 RESIDUAL_TOL = 1e-8
 MIXING_ALPHA = 0.5
 ANDERSON_WINDOW = 5
-PRECOND_THRESHOLD = 1e-2
-PRECOND_RTOL = 1e-2
+# a step is preconditioned below this density residual.  The 1d sweeps'
+# warm starts sit at 1.5e-3 to 4.3e-2, so every step of theirs is.  On
+# si1d at beta 400 plain Anderson steps from those starts lift the
+# residual to 0.26-0.29 and cost 6-13 more iterations a solve: the five
+# swept solves take 61 iterations with the gate at 1e-2, 26 at 5e-2.
+# The first iterates of a cold start sit at 0.3 to 1.1 (si1d at beta 1e4,
+# rhf1d at 2e3), far above.  At 1e-1 tiny3d's warm starts, at 0.06 to
+# 0.19, are let in, and some take more iterations
+PRECOND_THRESHOLD = 5e-2
+# each dielectric solve stops at this relative GMRES residual.  A tighter
+# solve makes a step contract further: over 16 seeded sweep1d chains an
+# operation (three sweeps) takes 139 SCF iterations and 512 products with
+# I - J, against 154 and 496 at 1e-2 and 136 and 587 at 1e-4 (193 and 469
+# with the gate at 1e-2 too)
+PRECOND_RTOL = 1e-3
 PRECOND_RESTART = 50
 _EPS = float(np.finfo(float).eps)
 
@@ -456,11 +472,14 @@ def run_scf(basis: PlaneWaveBasis, external: ExternalPotential,
     less than tol_f.  Raises ScfError on non-convergence.
 
     While the density residual ||rho_out - rho_in|| is at least
-    PRECOND_THRESHOLD, each step is plain Anderson on r = rho_out - rho_in
-    with alpha MIXING_ALPHA.  Below it, r is replaced by delta rho solving
-    (I - J) delta rho = r (``dielectric_solve``), J the response of the
+    PRECOND_THRESHOLD (5e-2), each step is plain Anderson on
+    r = rho_out - rho_in with alpha MIXING_ALPHA.  Below it, r is replaced
+    by delta rho solving (I - J) delta rho = r to a relative residual of
+    PRECOND_RTOL (1e-3) (``dielectric_solve``), J the response of the
     map's output state with the kernel at rho_in, and the step mixes with
-    alpha 1.  The Anderson history restarts whenever the step changes kind.
+    alpha 1.  So a solve warm-started from a nearby converged density, as
+    every swept solve of a 1d sweep is, is preconditioned from its first
+    step.  The Anderson history restarts whenever the step changes kind.
     Each history record holds the iteration, free energy, density residual,
     mu, the number of states kept, ``precond_products``, the products
     with I - J its step took (0 on a plain step), and of the map's last

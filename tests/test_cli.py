@@ -275,6 +275,25 @@ def test_back_to_back_outputs_match_cold_ones(tmp_path):
     assert runs["warm"] == runs["cold"]
 
 
+def test_a_quasi_opt_after_a_sweep_measures_no_error(tmp_path, monkeypatch):
+    # the sweep measured each swept state's errors against the reference
+    # (two S^{1,1} distances and a projection), and quasi-opt reads them;
+    # test_back_to_back_outputs_match_cold_ones checks that its
+    # quasi_opt.json is the cold one, byte for byte
+    cfg = si1d_without_timing(tmp_path)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "warm")]) == 0
+    calls = []
+    for name in ("s11_distance", "project_dm"):
+        measure = getattr(mks.harness, name)
+        monkeypatch.setattr(mks.harness, name,
+                            lambda *a, f=measure, n=name: calls.append(n) or f(*a))
+    assert main(["quasi-opt", "--config", cfg, "--out", str(tmp_path / "warm")]) == 0
+    assert calls == []
+    mks.harness._SWEPT.clear()
+    assert main(["quasi-opt", "--config", cfg, "--out", str(tmp_path / "cold")]) == 0
+    assert calls == ["s11_distance", "project_dm", "s11_distance"] * 5
+
+
 def test_a_sweep_of_another_config_evicts_the_solves(tmp_path, monkeypatch):
     cfg = si1d_without_timing(tmp_path)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "a")]) == 0

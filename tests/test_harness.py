@@ -242,12 +242,13 @@ def test_an_empty_cutoff_list_is_refused(monkeypatch, driver):
 
 
 def test_si1d_sweep_iterations_stay_low():
-    # swept SCFs start from the reference density: 61 iterations over the
-    # five cutoffs with the dielectric preconditioner (131 with plain
-    # Anderson; cold starts from the uniform density took 266); the bound
-    # leaves a margin of 9
+    # swept SCFs start from the reference density: 26 iterations over the
+    # five cutoffs, each step dielectric-preconditioned (61 when the steps
+    # above a density residual of 1e-2 were plain Anderson, 131 with plain
+    # Anderson only; cold starts from the uniform density took 266); the
+    # bound leaves a margin of 9
     sweep = run_sweep(RunConfig.from_file("si1d"), beta=400.0)
-    assert sum(row["scf_iters"] for row in sweep.rows) <= 70
+    assert sum(row["scf_iters"] for row in sweep.rows) <= 35
 
 
 @pytest.mark.parametrize("driver", [run_sweep, quasi_optimality])
